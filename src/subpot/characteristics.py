@@ -291,17 +291,6 @@ def circle_mean_nonlinear(
     return CharacteristicValue(val, err, "quadrature")
 
 
-def circle_mean_diff(
-    v: FunctionLike, r: float, R: float, method: str = "closed_form", quad: QuadratureSpec = DEFAULT_QUAD
-) -> CharacteristicValue:
-    """Mean at radius ``R`` minus mean at radius ``r``."""
-    if not (0 < r <= R):
-        raise ValueError("need 0 < r <= R")
-    hi = circle_mean(v, R, method, quad)
-    lo = circle_mean(v, r, method, quad)
-    return CharacteristicValue(hi.value - lo.value, hi.error_estimate + lo.error_estimate, hi.method)
-
-
 # --- counting functions --------------------------------------------------
 
 def radial_count(mu: AtomicMeasure, r: float) -> float:

@@ -4,8 +4,8 @@ Four subcommands: ``compute`` prints characteristics of one function,
 ``check`` runs a single named checker on a stored or generated instance,
 ``suite`` runs the randomized verification suite and writes its CSV, and
 ``counterexample`` prints the divergence demonstration.  Exit codes:
-0 success, 1 inequality violation, 2 excessive generation or quadrature
-failures, 3 bad input.
+0 success, 1 inequality violation, 2 excessive generation, quadrature or
+checker failures, 3 bad input.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -53,24 +53,6 @@ from .model import (
 from .quadrature import QuadratureError, QuadratureSpec
 from .sets import IntervalSet, Weight, random_interval_set
 
-ALL_CHECKERS = (
-    "lemma2",
-    "lemma3",
-    "lemma4",
-    "lemma_a",
-    "lemma1",
-    "main_lemma",
-    "main_theorem_T",
-    "main_theorem_M",
-    "nevanlinna_ratio",
-    "small_intervals_ratio",
-    "pjp_identity",
-)
-
-# Ratio probes report empirical constants; they assert no inequality of
-# their own, so their rows never count as violations.
-PROBE_CHECKERS = frozenset({"nevanlinna_ratio", "small_intervals_ratio"})
-
 CSV_COLUMNS = ("name", "seed", "lhs", "rhs", "ratio", "holds", "err", "params")
 
 # Keep random atoms at least this relative distance from every radius a
@@ -87,7 +69,8 @@ class GenerationError(RuntimeError):
 class SuiteConfig:
     seed: int = 20250822
     instances: int = 25
-    checkers: tuple[str, ...] = ALL_CHECKERS
+    # ALL_CHECKERS derives from the CHECKERS table further down.
+    checkers: tuple[str, ...] = field(default_factory=lambda: ALL_CHECKERS)
     k_values: tuple[float, ...] = (1.5, 2.0, 4.0)
     p_values: tuple[float, ...] = (2.0, 4.0, math.inf)
     b_values: tuple[float, ...] = (0.5, 1.0)
@@ -99,7 +82,7 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         for name in self.checkers:
-            if name not in ALL_CHECKERS:
+            if name not in CHECKERS:
                 raise ValueError(f"unknown checker {name!r}")
         if self.instances < 0:
             raise ValueError("instances must be nonnegative")
@@ -298,11 +281,11 @@ def _clear_of(measures: Sequence[AtomicMeasure], radii: Sequence[float]) -> bool
     return True
 
 
-def _retry(draw: Callable[[], Optional[GeneratedInstance]], what: str) -> GeneratedInstance:
+def _retry(draw: Callable[[], Optional[dict]], what: str) -> dict:
     for _ in range(_MAX_DRAWS):
-        inst = draw()
-        if inst is not None:
-            return inst
+        base = draw()
+        if base is not None:
+            return base
     raise GenerationError(f"no admissible instance for {what} within {_MAX_DRAWS} draws")
 
 
@@ -325,10 +308,6 @@ def _draw_weight_pieces(
     if not pieces:
         pieces = [{"interval": [float(lo), float(hi)], "coeffs": [float(rng.uniform(0.5, 2.0))]}]
     return pieces
-
-
-def _weight_doc(pieces: list[dict], p: float) -> dict:
-    return {"pieces": pieces, "p": "inf" if math.isinf(p) else p}
 
 
 def _draw_set_doc(
@@ -357,34 +336,33 @@ def _draw_delta(
     )
 
 
-def _gen_lemma2(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
+def _gen_lemma2(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
     R = _loguniform(rng, *_radius_span(cfg, 0.5))
     r = R * float(rng.uniform(0.05, 0.95))
     mu = _draw_measure(rng, cfg.atom_count_range, 1.2 * R, origin_prob=0.15)
-    base = {"measure": atoms_to_doc(mu), "r": r, "R": R}
-    return GeneratedInstance(base, ({},))
+    return {"measure": atoms_to_doc(mu), "r": r, "R": R}
 
 
-def _gen_lemma3(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
+def _gen_lemma3(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
     # Exponents are kept >= 1: for fractional q below 1 the stated constant
     # genuinely undercuts the integral near a = A/e (q^q < 1 there), and the
     # bound is only ever consumed with conjugate exponents q = p/(p-1) >= 1.
     q = float(rng.uniform(1.0, 4.0))
     A = _loguniform(rng, 0.2, 50.0)
     a = A / math.e * float(rng.uniform(1e-3, 1.0))
-    return GeneratedInstance({"q": q, "A": A, "a": a}, ({},))
+    return {"q": q, "A": A, "a": a}
 
 
-def _gen_lemma4(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
+def _gen_lemma4(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
     R = _loguniform(rng, *_radius_span(cfg, 0.3))
     r = R * float(rng.uniform(0.3, 1.0))
     q = float(rng.uniform(1.0, 4.0))
     x = float(rng.uniform(0.0, R))
     e_doc = _draw_set_doc(rng, 0.0, r, max_pieces=6)
-    return GeneratedInstance({"e": e_doc, "x": x, "r": r, "R": R, "q": q}, ({},))
+    return {"e": e_doc, "x": x, "r": r, "R": R, "q": q}
 
 
-def _gen_lemma_a(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
+def _gen_lemma_a(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
     a = _loguniform(rng, 0.3, 10.0)
     width = 2.0 * a
     measure = width * _loguniform(rng, 1e-3, 0.45)
@@ -393,31 +371,29 @@ def _gen_lemma_a(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstanc
         profile = {"family": "log", "kappa": float(rng.uniform(0.5, 2.5)), "beta": float(rng.uniform(math.e, 10.0))}
     else:
         profile = {"family": "power", "kappa": float(rng.uniform(0.1, 0.85)), "beta": 1.0}
-    return GeneratedInstance({"a": a, "e": e.to_doc(), "profile": profile}, ({},))
+    return {"a": a, "e": e.to_doc(), "profile": profile}
 
 
-def _gen_lemma1(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
-    def draw() -> Optional[GeneratedInstance]:
+def _gen_lemma1(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
+    def draw() -> Optional[dict]:
         R = _loguniform(rng, *_radius_span(cfg, 0.5))
         r = R * float(rng.uniform(0.2, 0.8))
         u = _draw_delta(rng, cfg, 1.3 * R)
         if not _clear_of([u.plus.charge, u.minus.charge], [r, R]):
             return None
-        base = {
+        return {
             "u": delta_to_doc(u),
             "e": _draw_set_doc(rng, 0.0, r),
             "r": r,
             "R": R,
             "g_pieces": _draw_weight_pieces(rng, 0.0, r),
         }
-        combos = tuple({"p": "inf" if math.isinf(p) else p} for p in cfg.p_values)
-        return GeneratedInstance(base, combos)
 
     return _retry(draw, "lemma1")
 
 
-def _gen_main_lemma(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
-    def draw() -> Optional[GeneratedInstance]:
+def _gen_main_lemma(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
+    def draw() -> Optional[dict]:
         r = _loguniform(rng, *_radius_span(cfg, 0.3, 4.0))
         probes = [(1.0 + b) * r for b in cfg.b_values]
         probes += [(1.0 + b) ** 2 * r for b in cfg.b_values]
@@ -425,17 +401,12 @@ def _gen_main_lemma(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInst
         u = _draw_delta(rng, cfg, rmax)
         if not _clear_of([u.plus.charge, u.minus.charge], probes + [r]):
             return None
-        base = {
+        return {
             "u": delta_to_doc(u),
             "e": _draw_set_doc(rng, 0.0, r),
             "r": r,
             "g_pieces": _draw_weight_pieces(rng, 0.0, r),
         }
-        combos = tuple(
-            {"b": b, "p": "inf" if math.isinf(p) else p}
-            for b, p in product(cfg.b_values, cfg.p_values)
-        )
-        return GeneratedInstance(base, combos)
 
     return _retry(draw, "main_lemma")
 
@@ -449,56 +420,46 @@ def _theorem_radii(rng: np.random.Generator, cfg: SuiteConfig) -> tuple[float, f
     return r, r0, probes
 
 
-def _gen_main_theorem_T(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
-    def draw() -> Optional[GeneratedInstance]:
+def _gen_main_theorem_T(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
+    def draw() -> Optional[dict]:
         r, r0, probes = _theorem_radii(rng, cfg)
         u = _draw_delta(rng, cfg, 1.1 * max(probes))
         if not _clear_of([u.plus.charge, u.minus.charge], probes):
             return None
-        base = {
+        return {
             "u": delta_to_doc(u),
             "e": _draw_set_doc(rng, 0.0, r, max_pieces=10),
             "r": r,
             "r0": r0,
             "g_pieces": _draw_weight_pieces(rng, 0.0, r),
         }
-        combos = tuple(
-            {"k": k, "p": "inf" if math.isinf(p) else p}
-            for k, p in product(cfg.k_values, cfg.p_values)
-        )
-        return GeneratedInstance(base, combos)
 
     return _retry(draw, "main_theorem_T")
 
 
-def _gen_main_theorem_M(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
-    def draw() -> Optional[GeneratedInstance]:
+def _gen_main_theorem_M(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
+    def draw() -> Optional[dict]:
         r, r0, probes = _theorem_radii(rng, cfg)
         count = (max(cfg.atom_count_range[0], 1), max(cfg.atom_count_range[1], 1))
         charge = _draw_measure(rng, count, 1.1 * max(probes), origin_prob=0.1)
         if not _clear_of([charge], probes):
             return None
         v = SubharmonicPotential(charge, float(rng.uniform(-0.5, 1.5)))
-        base = {
+        return {
             "v": potential_to_doc(v),
             "e": _draw_set_doc(rng, 0.0, r, max_pieces=10),
             "r": r,
             "r0": r0,
             "g_pieces": _draw_weight_pieces(rng, 0.0, r),
         }
-        combos = tuple(
-            {"k": k, "p": "inf" if math.isinf(p) else p}
-            for k, p in product(cfg.k_values, cfg.p_values)
-        )
-        return GeneratedInstance(base, combos)
 
     return _retry(draw, "main_theorem_M")
 
 
-def _gen_nevanlinna_ratio(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
+def _gen_nevanlinna_ratio(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
     r_lo, r_hi = cfg.radius_range
 
-    def draw() -> Optional[GeneratedInstance]:
+    def draw() -> Optional[dict]:
         # r >= 1 and one pole well inside keep T(kr) positive, so the
         # reported ratios aggregate to a finite empirical constant.
         r = _loguniform(rng, max(1.0, r_lo), max(2.0, r_hi))
@@ -516,9 +477,7 @@ def _gen_nevanlinna_ratio(rng: np.random.Generator, cfg: SuiteConfig) -> Generat
         if not _clear_of([zeros, poles], probes):
             return None
         f = RationalFunctionSpec(zeros=zeros, poles=poles, scale=_loguniform(rng, 0.2, 5.0))
-        base = {"f": rational_to_doc(f), "r": r}
-        combos = tuple({"k": k} for k in cfg.k_values)
-        return GeneratedInstance(base, combos)
+        return {"f": rational_to_doc(f), "r": r}
 
     return _retry(draw, "nevanlinna_ratio")
 
@@ -528,10 +487,10 @@ def _bounded_b_values(cfg: SuiteConfig) -> tuple[float, ...]:
     return bs if bs else (0.5,)
 
 
-def _gen_small_intervals(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
+def _gen_small_intervals(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
     bs = _bounded_b_values(cfg)
 
-    def draw() -> Optional[GeneratedInstance]:
+    def draw() -> Optional[dict]:
         R = _loguniform(rng, *_radius_span(cfg, 0.5))
         r = R * float(rng.uniform(0.3, 0.85))
         r0 = r * float(rng.uniform(0.1, 0.8))
@@ -546,7 +505,7 @@ def _gen_small_intervals(rng: np.random.Generator, cfg: SuiteConfig) -> Generate
         bmin = min(bs)
         baseline = float(np.sum(charge.masses * np.log(np.maximum((1.0 + bmin) * R, charge.moduli))))
         v = SubharmonicPotential(charge, target - baseline)
-        base = {
+        return {
             "v": potential_to_doc(v),
             "e": _draw_set_doc(rng, r, R),
             "r0": r0,
@@ -554,62 +513,21 @@ def _gen_small_intervals(rng: np.random.Generator, cfg: SuiteConfig) -> Generate
             "R": R,
             "g_pieces": _draw_weight_pieces(rng, r, R),
         }
-        combos = tuple({"b": b} for b in bs)
-        return GeneratedInstance(base, combos)
 
     return _retry(draw, "small_intervals_ratio")
 
 
-def _gen_pjp_identity(rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
-    def draw() -> Optional[GeneratedInstance]:
+def _gen_pjp_identity(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
+    def draw() -> Optional[dict]:
         R = _loguniform(rng, *_radius_span(cfg, 0.3))
         r = R * float(rng.uniform(0.05, 0.8))
         charge = _draw_measure(rng, cfg.atom_count_range, 1.2 * R, origin_prob=0.1)
         if not _clear_of([charge], [r, R]):
             return None
         v = SubharmonicPotential(charge, float(rng.uniform(-1.0, 1.0)))
-        return GeneratedInstance({"v": potential_to_doc(v), "r": r, "R": R}, ({},))
+        return {"v": potential_to_doc(v), "r": r, "R": R}
 
     return _retry(draw, "pjp_identity")
-
-
-GENERATORS: dict[str, Callable[[np.random.Generator, SuiteConfig], GeneratedInstance]] = {
-    "lemma2": _gen_lemma2,
-    "lemma3": _gen_lemma3,
-    "lemma4": _gen_lemma4,
-    "lemma_a": _gen_lemma_a,
-    "lemma1": _gen_lemma1,
-    "main_lemma": _gen_main_lemma,
-    "main_theorem_T": _gen_main_theorem_T,
-    "main_theorem_M": _gen_main_theorem_M,
-    "nevanlinna_ratio": _gen_nevanlinna_ratio,
-    "small_intervals_ratio": _gen_small_intervals,
-    "pjp_identity": _gen_pjp_identity,
-}
-
-
-def combo_count(name: str, cfg: SuiteConfig) -> int:
-    if name in ("lemma2", "lemma3", "lemma4", "lemma_a", "pjp_identity"):
-        return 1
-    if name == "lemma1":
-        return len(cfg.p_values)
-    if name == "main_lemma":
-        return len(cfg.b_values) * len(cfg.p_values)
-    if name in ("main_theorem_T", "main_theorem_M"):
-        return len(cfg.k_values) * len(cfg.p_values)
-    if name == "nevanlinna_ratio":
-        return len(cfg.k_values)
-    if name == "small_intervals_ratio":
-        return len(_bounded_b_values(cfg))
-    raise ValueError(f"unknown checker {name!r}")
-
-
-def generate_instance(name: str, rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
-    try:
-        gen = GENERATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown checker {name!r}") from None
-    return gen(rng, cfg)
 
 
 # --- doc-driven checker dispatch -------------------------------------------
@@ -637,116 +555,144 @@ def _profile_fn(doc: dict, a: float) -> Callable[[np.ndarray], np.ndarray]:
     raise ValueError(f"unknown profile family {family!r}")
 
 
-def _doc_weight(doc: dict, default_p: float = math.inf) -> Weight:
-    if "g" in doc:
-        return Weight.from_doc(doc["g"])
-    p = doc.get("p", "inf" if math.isinf(default_p) else default_p)
-    p = math.inf if p in ("inf", None) else float(p)
-    return Weight.from_doc({"pieces": doc["g_pieces"], "p": "inf" if math.isinf(p) else p})
+def _doc_weight(doc: dict) -> Weight:
+    return Weight.from_doc({"pieces": doc["g_pieces"], "p": doc.get("p", "inf")})
 
 
-def _quad_kwargs(quad: Optional[QuadratureSpec]) -> dict:
-    return {"quad": quad} if quad is not None else {}
+def _floats(doc: dict, *keys: str) -> tuple[float, ...]:
+    return tuple(float(doc[key]) for key in keys)
+
+
+def _weighted(
+    check: Callable[..., BoundReport], parse: Callable[[dict], object], key: str, *scalars: str
+) -> Callable[..., BoundReport]:
+    """Adapter for checkers called as ``check(fn, E, g, *scalars)`` that take the unit cache."""
+    def call(d: dict, cache: Optional[dict], **kw) -> BoundReport:
+        e = IntervalSet.from_pairs(d["e"])
+        return check(parse(d[key]), e, _doc_weight(d), *_floats(d, *scalars), doc=d, cache=cache, **kw)
+
+    return call
+
+
+# --- the checker table --------------------------------------------------------
+
+# A combo axis: the document key it sets and the values it sweeps.
+_Axis = tuple[str, Callable[[SuiteConfig], Sequence]]
+
+_B: _Axis = ("b", lambda cfg: cfg.b_values)
+_BOUNDED_B: _Axis = ("b", _bounded_b_values)
+_K: _Axis = ("k", lambda cfg: cfg.k_values)
+_P: _Axis = ("p", lambda cfg: ["inf" if math.isinf(p) else p for p in cfg.p_values])
+
+
+@dataclass(frozen=True)
+class CheckerSpec:
+    """How the suite drives one checker.
+
+    ``generate`` draws the base instance document; ``axes`` lists the combo
+    parameters, the first axis outermost; ``call`` evaluates one full
+    document, given the unit's cache and the quadrature override as
+    keywords.  Probes report empirical constants and assert no inequality
+    of their own, so their rows never count as violations.
+    """
+
+    generate: Callable[[np.random.Generator, SuiteConfig], dict]
+    axes: tuple[_Axis, ...]
+    call: Callable[..., BoundReport]
+    probe: bool = False
+
+    def combos(self, cfg: SuiteConfig) -> tuple[dict, ...]:
+        keys = [key for key, _ in self.axes]
+        return tuple(dict(zip(keys, vals)) for vals in product(*(values(cfg) for _, values in self.axes)))
+
+
+CHECKERS: dict[str, CheckerSpec] = {
+    "lemma2": CheckerSpec(
+        _gen_lemma2,
+        (),
+        lambda d, cache, **kw: lemma2_check(atoms_from_doc(d["measure"]), *_floats(d, "r", "R"), doc=d),
+    ),
+    "lemma3": CheckerSpec(
+        _gen_lemma3,
+        (),
+        lambda d, cache, **kw: lemma3_check(*_floats(d, "q", "A", "a"), doc=d, **kw),
+    ),
+    "lemma4": CheckerSpec(
+        _gen_lemma4,
+        (),
+        lambda d, cache, **kw: lemma4_check(
+            IntervalSet.from_pairs(d["e"]), *_floats(d, "x", "r", "R", "q"), doc=d, **kw
+        ),
+    ),
+    "lemma_a": CheckerSpec(
+        _gen_lemma_a,
+        (),
+        lambda d, cache, **kw: lemma_a_check(
+            _profile_fn(d["profile"], float(d["a"])),
+            IntervalSet.from_pairs(d["e"]),
+            float(d["a"]),
+            doc=d,
+            params=dict(d["profile"]),
+            **kw,
+        ),
+    ),
+    "lemma1": CheckerSpec(_gen_lemma1, (_P,), _weighted(lemma1_check, delta_from_doc, "u", "r", "R")),
+    "main_lemma": CheckerSpec(
+        _gen_main_lemma, (_B, _P), _weighted(main_lemma_check, delta_from_doc, "u", "r", "b")
+    ),
+    "main_theorem_T": CheckerSpec(
+        _gen_main_theorem_T, (_K, _P), _weighted(main_theorem_T, delta_from_doc, "u", "r", "r0", "k")
+    ),
+    "main_theorem_M": CheckerSpec(
+        _gen_main_theorem_M, (_K, _P), _weighted(main_theorem_M, potential_from_doc, "v", "r", "r0", "k")
+    ),
+    "nevanlinna_ratio": CheckerSpec(
+        _gen_nevanlinna_ratio,
+        (_K,),
+        lambda d, cache, **kw: nevanlinna_ratio(
+            rational_from_doc(d["f"]), *_floats(d, "r", "k"), doc=d, cache=cache, **kw
+        ),
+        probe=True,
+    ),
+    "small_intervals_ratio": CheckerSpec(
+        _gen_small_intervals,
+        (_BOUNDED_B,),
+        _weighted(small_intervals_ratio, potential_from_doc, "v", "r0", "r", "R", "b"),
+        probe=True,
+    ),
+    "pjp_identity": CheckerSpec(
+        _gen_pjp_identity,
+        (),
+        lambda d, cache, **kw: pjp_identity_check(potential_from_doc(d["v"]), *_floats(d, "r", "R"), doc=d, **kw),
+    ),
+}
+
+ALL_CHECKERS = tuple(CHECKERS)
+PROBE_CHECKERS = frozenset(name for name, spec in CHECKERS.items() if spec.probe)
+
+
+def _spec(name: str) -> CheckerSpec:
+    try:
+        return CHECKERS[name]
+    except KeyError:
+        raise ValueError(f"unknown checker {name!r}") from None
+
+
+def combo_count(name: str, cfg: SuiteConfig) -> int:
+    return len(_spec(name).combos(cfg))
+
+
+def generate_instance(name: str, rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
+    spec = _spec(name)
+    return GeneratedInstance(spec.generate(rng, cfg), spec.combos(cfg))
 
 
 def run_check(
     name: str, doc: dict, quad: Optional[QuadratureSpec] = None, cache: Optional[dict] = None
 ) -> BoundReport:
     """Evaluate one checker on a self-contained instance document."""
-    kw = _quad_kwargs(quad)
-    if name == "lemma2":
-        return lemma2_check(atoms_from_doc(doc["measure"]), float(doc["r"]), float(doc["R"]), doc=doc)
-    if name == "lemma3":
-        return lemma3_check(float(doc["q"]), float(doc["A"]), float(doc["a"]), doc=doc, **kw)
-    if name == "lemma4":
-        return lemma4_check(
-            IntervalSet.from_pairs(doc["e"]),
-            float(doc["x"]),
-            float(doc["r"]),
-            float(doc["R"]),
-            float(doc["q"]),
-            doc=doc,
-            **kw,
-        )
-    if name == "lemma_a":
-        a = float(doc["a"])
-        return lemma_a_check(
-            _profile_fn(doc["profile"], a),
-            IntervalSet.from_pairs(doc["e"]),
-            a,
-            doc=doc,
-            params=dict(doc["profile"]),
-            **kw,
-        )
-    if name == "lemma1":
-        return lemma1_check(
-            delta_from_doc(doc["u"]),
-            IntervalSet.from_pairs(doc["e"]),
-            _doc_weight(doc),
-            float(doc["r"]),
-            float(doc["R"]),
-            doc=doc,
-            cache=cache,
-            **kw,
-        )
-    if name == "main_lemma":
-        return main_lemma_check(
-            delta_from_doc(doc["u"]),
-            IntervalSet.from_pairs(doc["e"]),
-            _doc_weight(doc),
-            float(doc["r"]),
-            float(doc["b"]),
-            doc=doc,
-            cache=cache,
-            **kw,
-        )
-    if name == "main_theorem_T":
-        return main_theorem_T(
-            delta_from_doc(doc["u"]),
-            IntervalSet.from_pairs(doc["e"]),
-            _doc_weight(doc),
-            float(doc["r"]),
-            float(doc["r0"]),
-            float(doc["k"]),
-            doc=doc,
-            cache=cache,
-            **kw,
-        )
-    if name == "main_theorem_M":
-        return main_theorem_M(
-            potential_from_doc(doc["v"]),
-            IntervalSet.from_pairs(doc["e"]),
-            _doc_weight(doc),
-            float(doc["r"]),
-            float(doc["r0"]),
-            float(doc["k"]),
-            doc=doc,
-            cache=cache,
-            **kw,
-        )
-    if name == "nevanlinna_ratio":
-        return nevanlinna_ratio(
-            rational_from_doc(doc["f"]), float(doc["r"]), float(doc["k"]), doc=doc, cache=cache, **kw
-        )
-    if name == "small_intervals_ratio":
-        return small_intervals_ratio(
-            potential_from_doc(doc["v"]),
-            IntervalSet.from_pairs(doc["e"]),
-            _doc_weight(doc),
-            float(doc["r0"]),
-            float(doc["r"]),
-            float(doc["R"]),
-            float(doc["b"]),
-            doc=doc,
-            cache=cache,
-            **kw,
-        )
-    if name == "pjp_identity":
-        extra = _quad_kwargs(quad)
-        return pjp_identity_check(
-            potential_from_doc(doc["v"]), float(doc["r"]), float(doc["R"]), doc=doc, **extra
-        )
-    raise ValueError(f"unknown checker {name!r}")
+    kw = {"quad": quad} if quad is not None else {}
+    return _spec(name).call(doc, cache, **kw)
 
 
 # --- suite runner -----------------------------------------------------------
@@ -768,13 +714,15 @@ def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[
         doc = {**inst.base_doc, **combo}
         try:
             rep = run_check(name, doc, quad=quad, cache=cache)
-        except QuadratureError as exc:
+        except (QuadratureError, ValueError) as exc:
+            # ValueError covers DegenerateInstanceError and any instance a
+            # checker rejects; one bad combo must not abort the suite.
             failures.append(
                 {
                     "name": name,
                     "index": index,
                     "seed": subseed,
-                    "stage": "quadrature",
+                    "stage": "quadrature" if isinstance(exc, QuadratureError) else "check",
                     "message": str(exc),
                 }
             )

@@ -21,7 +21,8 @@ from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc as _gammaincc
 
 from .characteristics import (
-    CharacteristicValue,
+    FunctionLike,
+    as_delta,
     characteristic_T,
     circle_mean_nonlinear,
     counting_integral,
@@ -36,8 +37,10 @@ from .model import (
     RationalFunctionSpec,
     SubharmonicPotential,
     canonicalize,
+    delta_to_doc,
     evaluate,
     ln_abs,
+    rational_to_doc,
 )
 from .quadrature import QuadratureSpec, integrate
 from .sets import IntervalSet, Weight, integrate_weighted, lp_norm, rearranged_majorant
@@ -297,51 +300,32 @@ def lemma_a_check(
 
 # --- maxima integrals against growth characteristics ----------------------
 
-def _weight_key(g: Weight) -> str:
-    # The integrand h * g is independent of the exponent p, so key on the
-    # polynomial pieces only; p sweeps then reuse one integral.
-    return json.dumps(g.to_doc()["pieces"], sort_keys=True, separators=(",", ":"))
-
-
-def _m_plus_integral(
-    u: DeltaSubharmonicFn,
+def _maxima_integral(
+    u: FunctionLike,
+    transform: str,
     e: IntervalSet,
     g: Weight,
-    quad: QuadratureSpec,
     cache: Optional[dict],
 ) -> tuple[float, float]:
-    """integral over E of sup-positive-part times weight, with modulus hints."""
-    key = ("m_plus_integral", _weight_key(g))
-    if cache is not None and key in cache:
-        return cache[key]
-    canon = canonicalize(u)
+    """Integral over E of the circle maxima of ``transform(u)`` times the weight.
 
-    def h(ts: np.ndarray) -> np.ndarray:
-        return max_on_circles(canon, ts, transform="plus")
-
-    hints = [float(x) for x in canon.minus.charge.moduli]
-    val, err = integrate_weighted(h, g, e, quad=quad, hints=hints)
-    if cache is not None:
-        cache[key] = (val, err)
-    return val, err
-
-
-def _m_abs_integral(
-    u: SubharmonicPotential,
-    e: IntervalSet,
-    g: Weight,
-    quad: QuadratureSpec,
-    cache: Optional[dict],
-) -> tuple[float, float]:
-    key = ("m_abs_integral", _weight_key(g))
+    Quadrature is split at the moduli of the atoms whose spike the transform
+    sends upward.  The cache key covers everything the integral reads except
+    the exponent p, so p sweeps over one instance reuse one integral.
+    """
+    canon = canonicalize(as_delta(u))
+    key = fingerprint_doc(
+        {"u": delta_to_doc(canon), "transform": transform, "e": e.to_doc(), "g": g.to_doc()["pieces"]}
+    )
     if cache is not None and key in cache:
         return cache[key]
 
     def h(ts: np.ndarray) -> np.ndarray:
-        return max_on_circles(u, ts, transform="abs")
+        return max_on_circles(canon, ts, transform=transform)
 
-    hints = [float(x) for x in u.charge.moduli]
-    val, err = integrate_weighted(h, g, e, quad=quad, hints=hints)
+    up = [canon.minus.charge] if transform == "plus" else [canon.plus.charge, canon.minus.charge]
+    hints = [float(x) for charge in up for x in charge.moduli]
+    val, err = integrate_weighted(h, g, e, quad=LHS_QUAD, hints=hints)
     if cache is not None:
         cache[key] = (val, err)
     return val, err
@@ -367,7 +351,7 @@ def lemma1_check(
     if m == 0.0:
         return _report("lemma1", 0.0, 0.0, params, 0.0, doc, degenerate=True)
 
-    lhs, lhs_err = _m_plus_integral(canon, e, g, LHS_QUAD, cache)
+    lhs, lhs_err = _maxima_integral(canon, "plus", e, g, cache)
     c_plus = circle_mean_nonlinear(canon, "plus", R, quad)
     mass = radial_count(canon.minus.charge, R)
     sup_norm = _sup_log_kernel_norm(e, R, q)
@@ -398,7 +382,7 @@ def main_lemma_check(
     if m == 0.0:
         return _report("main_lemma", 0.0, 0.0, params, 0.0, doc, degenerate=True)
 
-    lhs, lhs_err = _m_plus_integral(canon, e, g, LHS_QUAD, cache)
+    lhs, lhs_err = _maxima_integral(canon, "plus", e, g, cache)
     r1 = (1.0 + b) * r
     r2 = (1.0 + b) ** 2 * r
     c_plus = circle_mean_nonlinear(canon, "plus", r1, quad)
@@ -434,7 +418,7 @@ def main_theorem_T(
     if m == 0.0:
         return _report("main_theorem_T", 0.0, 0.0, params, 0.0, doc, degenerate=True)
 
-    raw_lhs, raw_err = _m_plus_integral(canon, e, g, LHS_QUAD, cache)
+    raw_lhs, raw_err = _maxima_integral(canon, "plus", e, g, cache)
     lhs = raw_lhs / r
     t_char = characteristic_T(canon, r0, k * r, quad)
     c0 = circle_mean_nonlinear(canon, "plus", r0, quad)
@@ -466,7 +450,7 @@ def main_theorem_M(
     if m == 0.0:
         return _report("main_theorem_M", 0.0, 0.0, params, 0.0, doc, degenerate=True)
 
-    raw_lhs, raw_err = _m_abs_integral(u, e, g, LHS_QUAD, cache)
+    raw_lhs, raw_err = _maxima_integral(u, "abs", e, g, cache)
     lhs = raw_lhs / r
     m_plus = max_on_circle(u, k * r, transform="plus")
     c_minus = circle_mean_nonlinear(u, "minus", r0, quad)
@@ -490,7 +474,7 @@ def nevanlinna_ratio(
     """Averaged max-modulus growth over [0, r] against T at radius kr."""
     _require(r > 0 and math.isfinite(r), "need r > 0")
     _require(k > 1 and math.isfinite(k), "need k > 1")
-    key = ("lnplus_integral", r)
+    key = fingerprint_doc({"f": rational_to_doc(f), "r": r})
     if cache is not None and key in cache:
         raw_lhs, raw_err = cache[key]
     else:
@@ -565,7 +549,7 @@ def small_intervals_ratio(
     m = e.measure
     params = {"r0": r0, "r": r, "R": R, "b": b, "mes_E": m}
 
-    lhs, lhs_err = _m_abs_integral(u, e, g, LHS_QUAD, cache) if m > 0 else (0.0, 0.0)
+    lhs, lhs_err = _maxima_integral(u, "abs", e, g, cache) if m > 0 else (0.0, 0.0)
     m_at = max_on_circle(u, (1.0 + b) * R)
     if r0 > 0:
         c_minus = circle_mean_nonlinear(u, "minus", r0, quad)

@@ -115,12 +115,6 @@ class DeltaSubharmonicFn:
     def from_potential(cls, v: SubharmonicPotential) -> "DeltaSubharmonicFn":
         return cls(plus=v, minus=SubharmonicPotential())
 
-    def canonical(self) -> "DeltaSubharmonicFn":
-        return canonicalize(self)
-
-    def value(self, z: complex) -> float:
-        return evaluate(self, z)
-
 
 def canonicalize(u: DeltaSubharmonicFn) -> DeltaSubharmonicFn:
     """Cancel common-center mass so the two charges have disjoint supports.

@@ -84,7 +84,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_panels: int = 2**16
-    singularity_hints: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -178,8 +177,7 @@ def integrate(
     if b == a:
         return 0.0, 0.0
 
-    all_hints = tuple(hints) + spec.singularity_hints
-    edges = _initial_edges(a, b, all_hints)
+    edges = _initial_edges(a, b, tuple(hints))
 
     heap: list[tuple[float, int, float, float, float, float]] = []
     counter = 0

@@ -78,20 +78,8 @@ class IntervalSet:
     def shifted(self, dx: float) -> "IntervalSet":
         return IntervalSet(tuple((a + dx, b + dx) for a, b in self.intervals))
 
-    def scaled(self, s: float) -> "IntervalSet":
-        if s <= 0:
-            raise ValueError("scale must be positive")
-        return IntervalSet(tuple((a * s, b * s) for a, b in self.intervals))
-
     def to_doc(self) -> list[list[float]]:
         return [[a, b] for a, b in self.intervals]
-
-
-def truncate(e: IntervalSet, r: float) -> IntervalSet:
-    """Restriction to ``[1, r)`` (returned closed; the boundary is null)."""
-    if r < 1:
-        raise ValueError("truncation radius must be >= 1")
-    return e.intersect(1.0, r)
 
 
 # --- weights --------------------------------------------------------------
@@ -150,10 +138,6 @@ class Weight:
         """Conjugate exponent: p/(p-1), with q = 1 for p = inf."""
         return 1.0 if math.isinf(self.p) else self.p / (self.p - 1.0)
 
-    @property
-    def support(self) -> IntervalSet:
-        return IntervalSet(tuple(iv for iv, _ in self.pieces))
-
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, float)
         out = np.zeros(t.shape)
@@ -208,33 +192,6 @@ def lp_norm(g: Weight, e: IntervalSet, quad: QuadratureSpec = _LP_QUAD) -> float
             )
             total += val
     return total ** (1.0 / g.p)
-
-
-def function_lp_norm(
-    h: Callable[[np.ndarray], np.ndarray],
-    e: IntervalSet,
-    exponent: float,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    hints: Iterable[float] = (),
-) -> tuple[float, float]:
-    """Quadrature L^q norm of a callable over ``e``; returns (norm, error)."""
-    if exponent < 1:
-        raise ValueError("exponent must be >= 1")
-    if e.is_empty:
-        return 0.0, 0.0
-    hints = tuple(hints)
-    total = 0.0
-    err = 0.0
-    for lo, hi in e.intervals:
-        val, er = integrate(
-            lambda t: np.abs(np.asarray(h(t), float)) ** exponent, lo, hi, spec=quad, hints=hints
-        )
-        total += val
-        err += er
-    norm = total ** (1.0 / exponent)
-    # First-order propagation of the integral error through the root.
-    norm_err = err if total <= 0 else norm * err / (exponent * total)
-    return norm, norm_err
 
 
 def integrate_weighted(

@@ -12,7 +12,6 @@ from subpot import (
     SubharmonicPotential,
     characteristic_T,
     circle_mean,
-    circle_mean_diff,
     circle_mean_nonlinear,
     counting_integral,
     ln_abs,
@@ -135,14 +134,6 @@ def test_counting_integral_examples():
     assert counting_integral(off, 2.5, 2.5) == 0.0
     with pytest.raises(ValueError):
         counting_integral(off, 2.0, 1.0)
-
-
-def test_circle_mean_diff_examples():
-    u = _potential([(0.0, 1.0)])
-    assert circle_mean_diff(u, 1.0, math.e).value == pytest.approx(1.0)
-    assert circle_mean_diff(u, 2.0, 2.0).value == 0.0
-    v = _potential([(2.0, 1.0)])
-    assert circle_mean_diff(v, 1.0, 4.0).value == pytest.approx(math.log(2.0))
 
 
 def test_characteristic_reciprocal():

@@ -1,6 +1,7 @@
 """Instance generation, suite plumbing, CSV determinism, and the CLI."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,9 +9,12 @@ import math
 import numpy as np
 import pytest
 
+import subpot.harness as harness
+import subpot.inequalities as inequalities
 from subpot import (
     ALL_CHECKERS,
     PROBE_CHECKERS,
+    DegenerateInstanceError,
     SuiteConfig,
     generate_instance,
     rng_for,
@@ -85,6 +89,26 @@ def test_suite_rows_and_exit_code():
     assert len(result.rows) == SMALL.instances * per_combo
     assert result.exit_code == 0
     assert all(r["holds"] for r in result.rows)
+
+
+def test_checker_error_is_recorded_as_a_failure(monkeypatch):
+    spec = harness.CHECKERS["lemma3"]
+    bad = generate_instance("lemma3", rng_for(SMALL.seed, "lemma3", 1)[0], SMALL).base_doc
+
+    def call(doc, cache, **kw):
+        if doc == bad:
+            raise DegenerateInstanceError("planted")
+        return spec.call(doc, cache, **kw)
+
+    clean = run_suite(SMALL)
+    monkeypatch.setitem(harness.CHECKERS, "lemma3", dataclasses.replace(spec, call=call))
+    result = run_suite(SMALL)
+    bad_seed = rng_for(SMALL.seed, "lemma3", 1)[1]
+    kept = [r for r in clean.rows if not (r["name"] == "lemma3" and r["seed"] == bad_seed)]
+    assert len(kept) == len(clean.rows) - 1
+    assert result.rows == kept
+    assert [(f["name"], f["index"], f["stage"]) for f in result.failures] == [("lemma3", 1, "check")]
+    assert result.exit_code == 2
 
 
 def test_suite_csv_is_byte_identical():
@@ -218,3 +242,52 @@ def test_cli_bad_inputs_exit_three(tmp_path, capsys):
     assert cli_main(["check", "lemma2"]) == 3
     assert cli_main(["suite", "--checkers", "unknown_checker"]) == 3
     capsys.readouterr()
+
+
+# --- caches shared across the documents of one file ---------------------------
+
+def _pair_docs(name, key):
+    """Instance 0 and instance 1's function carried on instance 0's set, radii and weight."""
+    cfg = SuiteConfig(seed=1)
+    a = generate_instance(name, rng_for(1, name, 0)[0], cfg)
+    b = generate_instance(name, rng_for(1, name, 1)[0], cfg)
+    first = {**a.base_doc, **a.combos[0]}
+    return first, {**first, key: b.base_doc[key]}
+
+
+def _check_lhs(capsys, name, path):
+    assert cli_main(["check", name, "--fn", str(path)]) == 0
+    out = capsys.readouterr().out
+    return [float(line.split(" lhs=")[1].split()[0]) for line in out.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "name,key", [("main_theorem_T", "u"), ("main_theorem_M", "v"), ("nevanlinna_ratio", "f")]
+)
+def test_check_file_documents_get_their_own_integral(name, key, tmp_path, capsys):
+    first, second = _pair_docs(name, key)
+    pair, solo = tmp_path / "pair.json", tmp_path / "solo.json"
+    pair.write_text(json.dumps([first, second]))
+    solo.write_text(json.dumps(second))
+    paired = _check_lhs(capsys, name, pair)
+    alone = _check_lhs(capsys, name, solo)
+    assert paired[0] != alone[0]
+    assert paired[1] == alone[0]
+
+
+def test_check_file_replay_reuses_the_integral_across_p(tmp_path, capsys, monkeypatch):
+    saved = tmp_path / "sweep.json"
+    assert cli_main(["check", "main_theorem_T", "--gen-seed", "1", "--save", str(saved)]) == 0
+    generated = capsys.readouterr().out
+    calls = []
+    original = inequalities.integrate_weighted
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "integrate_weighted", counting)
+    assert cli_main(["check", "main_theorem_T", "--fn", str(saved)]) == 0
+    assert capsys.readouterr().out == generated
+    assert len(json.loads(saved.read_text())) == combo_count("main_theorem_T", SuiteConfig())
+    assert len(calls) == 1

@@ -499,7 +499,8 @@ def test_scaling_leaves_ratios_invariant():
                      tuple(c / s ** i for i, c in enumerate(pieces[1]))),),
             p=4.0,
         )
-        rep = main_theorem_T(U, e.scaled(s), g, 1.0 * s, 0.5 * s, 2.0)
+        e_s = IntervalSet(tuple((a * s, b * s) for a, b in e.intervals))
+        rep = main_theorem_T(U, e_s, g, 1.0 * s, 0.5 * s, 2.0)
         if base is None:
             base = rep
         else:
