@@ -2,16 +2,18 @@
 
 Circle means of the potentials themselves have exact closed forms
 (``mean of ln|z - a| over |z| = r`` is ``ln max(r, |a|)``); everything
-nonlinear (positive parts, absolute values, circle maxima) is evaluated
-numerically with a dense angular grid plus golden-section refinement, or
-with singularity-aware quadrature.
+nonlinear is numerical.  Circle maxima refine each peak of a dense angular
+grid by golden section; means of the plus, minus and abs parts use
+singularity-aware quadrature split at nearby atoms' angles and at the
+profile's sign changes, found by bisection (both searches live in
+:mod:`subpot.search`).  One table holds the pointwise transforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -25,18 +27,24 @@ from .model import (
     ln_abs,
 )
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
+from .search import bisect, golden_max, grid_peaks, sign_changes
 
 FunctionLike = Union[SubharmonicPotential, DeltaSubharmonicFn]
 
 _TWO_PI = 2.0 * math.pi
 _CIRCLE_GRID = 1024
-_GOLDEN_ITERS = 60
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # Atoms this close to the circle (relative) get an angular hint.
 _SPIKE_REL = 0.05
 
-TRANSFORMS = ("id", "plus", "minus", "abs")
+# Pointwise maps applied to profile values.  Each is monotone on either
+# side of some point, so its circle supremum sits at the circle maximum or
+# the circle minimum of the profile.
+TRANSFORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "id": lambda x: x,
+    "plus": lambda x: np.maximum(x, 0.0),
+    "minus": lambda x: np.maximum(-x, 0.0),
+    "abs": np.abs,
+}
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,13 @@ class CharacteristicValue:
     value: float
     error_estimate: float = 0.0
     method: str = "closed_form"
+
+
+def _transform_fn(transform: str) -> Callable[[np.ndarray], np.ndarray]:
+    try:
+        return TRANSFORMS[transform]
+    except KeyError:
+        raise ValueError(f"unknown transform {transform!r}") from None
 
 
 def as_delta(v: FunctionLike) -> DeltaSubharmonicFn:
@@ -77,37 +92,6 @@ class CircleSampler:
         return out
 
 
-def _golden_extremum(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    maximize: bool,
-    iters: int = _GOLDEN_ITERS,
-) -> np.ndarray:
-    """Vectorized golden-section search; returns the extremal values."""
-    lo = np.asarray(lo, float).copy()
-    hi = np.asarray(hi, float).copy()
-    h = hi - lo
-    c = lo + _INVPHI2 * h
-    d = lo + _INVPHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(iters):
-        mask = (yc >= yd) if maximize else (yc <= yd)
-        hi = np.where(mask, d, hi)
-        lo = np.where(mask, lo, c)
-        h = hi - lo
-        c_cand = lo + _INVPHI2 * h
-        d_cand = lo + _INVPHI * h
-        new_y = f(np.where(mask, c_cand, d_cand))
-        c_new = np.where(mask, c_cand, d)
-        yc_new = np.where(mask, new_y, yd)
-        d_new = np.where(mask, c, d_cand)
-        yd_new = np.where(mask, yc, new_y)
-        c, d, yc, yd = c_new, d_new, yc_new, yd_new
-    return np.maximum(yc, yd) if maximize else np.minimum(yc, yd)
-
-
 def _circle_extreme(sampler: CircleSampler, ts: np.ndarray, maximize: bool) -> np.ndarray:
     """Grid scan plus local golden refinement of the profile extremum."""
     ts = np.asarray(ts, float)
@@ -116,24 +100,17 @@ def _circle_extreme(sampler: CircleSampler, ts: np.ndarray, maximize: bool) -> n
     if not maximize:
         vals = -vals
     best = vals.max(axis=1)
-    left = np.roll(vals, 1, axis=1)
-    right = np.roll(vals, -1, axis=1)
-    with np.errstate(invalid="ignore"):
-        peaks = (vals >= left) & (vals > right)
-    rows, cols = np.nonzero(peaks)
-    if rows.size:
-        step = _TWO_PI / _CIRCLE_GRID
-        lo = s_grid[cols] - step
-        hi = s_grid[cols] + step
-        t_lane = ts[rows]
+    rows, cols = grid_peaks(vals, periodic=True)
+    step = _TWO_PI / _CIRCLE_GRID
+    t_lane = ts[rows]
 
-        def lane_profile(s: np.ndarray) -> np.ndarray:
-            p = sampler.profile(t_lane, s)
-            return p if maximize else -p
+    def lane_profile(s: np.ndarray) -> np.ndarray:
+        p = sampler.profile(t_lane, s)
+        return p if maximize else -p
 
-        refined = _golden_extremum(lane_profile, lo, hi, maximize=True)
-        refined = np.where(np.isnan(refined), -np.inf, refined)
-        np.maximum.at(best, rows, refined)
+    refined = golden_max(lane_profile, s_grid[cols] - step, s_grid[cols] + step)
+    refined = np.where(np.isnan(refined), -np.inf, refined)
+    np.maximum.at(best, rows, refined)
     return best if maximize else -best
 
 
@@ -144,37 +121,24 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
     upward lies on the circle (minus-component atoms for "id"/"plus",
     plus-component atoms for "minus", both for "abs").
     """
-    if transform not in TRANSFORMS:
-        raise ValueError(f"unknown transform {transform!r}")
+    wrap = _transform_fn(transform)
     u = canonicalize(as_delta(v))
     sampler = CircleSampler(u)
     ts = np.asarray(ts, float)
     if np.any(ts < 0):
         raise ValueError("radii must be nonnegative")
 
-    need_sup = transform in ("id", "plus", "abs")
-    need_inf = transform in ("minus", "abs")
-    sup = _circle_extreme(sampler, ts, maximize=True) if need_sup else None
-    inf = _circle_extreme(sampler, ts, maximize=False) if need_inf else None
-
-    if transform == "id":
-        out = sup
-    elif transform == "plus":
-        out = np.maximum(sup, 0.0)
-    elif transform == "minus":
-        out = np.maximum(-inf, 0.0)
-    else:
-        out = np.maximum(sup, -inf)
-
+    # The profile's maximum matters unless the transform flips the sign; its
+    # minimum matters when the transform sends negative values upward.
+    extremes: list[np.ndarray] = []
     up_moduli: list[np.ndarray] = []
-    if transform in ("id", "plus", "abs") and not u.minus.charge.is_empty:
+    if transform != "minus":
+        extremes.append(wrap(_circle_extreme(sampler, ts, maximize=True)))
         up_moduli.append(u.minus.charge.moduli)
-    if transform in ("minus", "abs") and not u.plus.charge.is_empty:
+    if transform in ("minus", "abs"):
+        extremes.append(wrap(_circle_extreme(sampler, ts, maximize=False)))
         up_moduli.append(u.plus.charge.moduli)
-    if up_moduli:
-        mask = np.isin(ts, np.concatenate(up_moduli))
-        out = np.where(mask, np.inf, out)
-    return out
+    return np.where(np.isin(ts, np.concatenate(up_moduli)), np.inf, np.maximum.reduce(extremes))
 
 
 def max_on_circle(v: FunctionLike, r: float, transform: str = "id") -> CharacteristicValue:
@@ -182,14 +146,7 @@ def max_on_circle(v: FunctionLike, r: float, transform: str = "id") -> Character
     if r < 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and nonnegative")
     if r == 0.0:
-        u = canonicalize(as_delta(v))
-        val = evaluate(u, 0.0)
-        if transform == "plus":
-            val = max(val, 0.0)
-        elif transform == "minus":
-            val = max(-val, 0.0)
-        elif transform == "abs":
-            val = abs(val)
+        val = float(_transform_fn(transform)(evaluate(canonicalize(as_delta(v)), 0.0)))
         return CharacteristicValue(val, 0.0, "closed_form")
     val = float(max_on_circles(v, np.array([r]), transform)[0])
     return CharacteristicValue(val, 0.0, "grid_max")
@@ -218,32 +175,17 @@ def _spike_angles(u: DeltaSubharmonicFn, r: float) -> list[float]:
 def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
     s_grid = np.linspace(0.0, _TWO_PI, _CIRCLE_GRID, endpoint=False)
     vals = sampler.profile(np.full(_CIRCLE_GRID, r), s_grid)
-    nxt = np.roll(vals, -1)
-    cross = (vals * nxt) < 0
-    idx = np.nonzero(cross)[0]
-    out = list(s_grid[np.nonzero(vals == 0.0)[0]])
-    if idx.size == 0:
-        return out
+    idx = sign_changes(vals)
     lo = s_grid[idx]
-    hi = lo + _TWO_PI / _CIRCLE_GRID
-    flo = vals[idx]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fmid = sampler.profile(np.full(mid.shape, r), mid)
-        take_left = flo * fmid <= 0
-        hi = np.where(take_left, mid, hi)
-        lo = np.where(take_left, lo, mid)
-        flo = np.where(take_left, flo, fmid)
-    out.extend((0.5 * (lo + hi)).tolist())
-    return out
+    roots = bisect(lambda s: sampler.profile(np.full(s.shape, r), s), lo, lo + _TWO_PI / _CIRCLE_GRID, vals[idx])
+    return list(s_grid[np.nonzero(vals == 0.0)[0]]) + roots.tolist()
 
 
 def _quad_mean(
     v: FunctionLike, r: float, transform: str, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> tuple[float, float]:
     """(1/2pi) * integral of transform(v) over the circle, by quadrature."""
-    if transform not in TRANSFORMS:
-        raise ValueError(f"unknown transform {transform!r}")
+    wrap = _transform_fn(transform)
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
     u = canonicalize(as_delta(v))
@@ -251,15 +193,6 @@ def _quad_mean(
     hints = _spike_angles(u, r)
     if transform != "id":
         hints = hints + _kink_angles(sampler, r)
-
-    if transform == "id":
-        wrap = lambda x: x
-    elif transform == "plus":
-        wrap = lambda x: np.maximum(x, 0.0)
-    elif transform == "minus":
-        wrap = lambda x: np.maximum(-x, 0.0)
-    else:
-        wrap = np.abs
 
     def integrand(s: np.ndarray) -> np.ndarray:
         return wrap(sampler.profile(np.full(s.shape, r), s))

@@ -765,7 +765,7 @@ def _summarize(cfg: SuiteConfig, rows: list[dict], failures: list[dict]) -> list
             "failures": sum(1 for f in failures if f["name"] == name),
             "max_ratio": max(ratios) if ratios else None,
         }
-        if name == "small_intervals_ratio":
+        if any(r["a_min"] is not None for r in checker_rows):
             a_vals = [r["a_min"] for r in live if r["a_min"] is not None and math.isfinite(r["a_min"])]
             summary["max_a"] = max(a_vals) if a_vals else None
         summaries.append(summary)

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc as _gammaincc
+from scipy.special import lambertw
 
 from .characteristics import (
     FunctionLike,
@@ -43,10 +44,13 @@ from .model import (
     rational_to_doc,
 )
 from .quadrature import QuadratureSpec, integrate
+from .search import golden_max, grid_peaks
 from .sets import IntervalSet, Weight, integrate_weighted, lp_norm, rearranged_majorant
 
 # Circle-max integrands are expensive; their integrals feed a ratio with
-# generous theorem slack, so a looser tolerance is enough.
+# generous theorem slack, so a looser tolerance is enough.  A checker's
+# ``quad`` argument, when given, overrides these defaults (and the weight
+# norm's) for every integral the checker runs.
 LHS_QUAD = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10, max_panels=2**14)
 MEAN_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
 NORM_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
@@ -164,30 +168,30 @@ def _log_kernel_primitive(y: np.ndarray, R: float, q: float) -> np.ndarray:
 
 def log_kernel_norm(
     e: IntervalSet,
-    x: float,
+    x: float | np.ndarray,
     R: float,
     q: float,
     method: str = "closed_form",
     quad: QuadratureSpec = NORM_QUAD,
-) -> tuple[float, float]:
-    """L^q(E) norm of t -> ln(2R/|t - x|); returns (norm, error_estimate)."""
+) -> tuple[float | np.ndarray, float]:
+    """L^q(E) norm of t -> ln(2R/|t - x|); returns (norm, error_estimate).
+
+    The closed form also takes an array ``x`` and returns an array of norms.
+    """
     _require(q >= 1, "need q >= 1")
     _require(R > 0, "need R > 0")
-    if e.is_empty:
-        return 0.0, 0.0
     if method == "closed_form":
-        total = 0.0
+        # With P the primitive, the integral over [alpha, beta] is
+        # P(beta - x) - P(alpha - x) extended oddly to negative distances.
+        xs = np.asarray(x, float)
+        total = np.zeros(xs.shape)
         for alpha, beta in e.intervals:
-            if x <= alpha:
-                lo, hi = alpha - x, beta - x
-                contrib = _log_kernel_primitive(hi, R, q) - _log_kernel_primitive(lo, R, q)
-            elif x >= beta:
-                lo, hi = x - beta, x - alpha
-                contrib = _log_kernel_primitive(hi, R, q) - _log_kernel_primitive(lo, R, q)
-            else:
-                contrib = _log_kernel_primitive(x - alpha, R, q) + _log_kernel_primitive(beta - x, R, q)
-            total += float(contrib)
-        return total ** (1.0 / q), 0.0
+            total = total + (
+                np.sign(beta - xs) * _log_kernel_primitive(np.abs(beta - xs), R, q)
+                - np.sign(alpha - xs) * _log_kernel_primitive(np.abs(alpha - xs), R, q)
+            )
+        norm = total ** (1.0 / q)
+        return (norm if xs.ndim else float(norm)), 0.0
     if method == "quadrature":
         # Integrate in distance coordinates y = |t - x|: floats stay dense
         # near y = 0, so bisection can chase the integrable singularity far
@@ -197,13 +201,8 @@ def log_kernel_norm(
 
         spans: list[tuple[float, float]] = []
         for alpha, beta in e.intervals:
-            if x <= alpha:
-                spans.append((alpha - x, beta - x))
-            elif x >= beta:
-                spans.append((x - beta, x - alpha))
-            else:
-                spans.append((0.0, x - alpha))
-                spans.append((0.0, beta - x))
+            d_a, d_b = abs(x - alpha), abs(x - beta)
+            spans += [(0.0, d_a), (0.0, d_b)] if alpha < x < beta else [(min(d_a, d_b), max(d_a, d_b))]
         floor = 2 * R * 1e-25
         total = 0.0
         err = 0.0
@@ -231,22 +230,11 @@ def log_kernel_norm(
 def _sup_log_kernel_norm(e: IntervalSet, R: float, q: float) -> float:
     """sup over x in [0, R] of the closed-form kernel norm (grid + refinement)."""
     xs = np.linspace(0.0, R, _SUP_GRID)
-    vals = np.array([log_kernel_norm(e, float(x), R, q)[0] for x in xs])
-    best = float(vals.max())
-    peaks = np.nonzero((vals >= np.roll(vals, 1)) & (vals > np.roll(vals, -1)))[0]
-    peaks = peaks[(peaks > 0) & (peaks < _SUP_GRID - 1)]
+    vals = log_kernel_norm(e, xs, R, q)[0]
+    (peaks,) = grid_peaks(vals, periodic=False)
     step = R / (_SUP_GRID - 1)
-    for idx in peaks:
-        lo, hi = xs[idx] - step, xs[idx] + step
-        for _ in range(80):
-            m1 = lo + (hi - lo) * 0.382
-            m2 = lo + (hi - lo) * 0.618
-            if log_kernel_norm(e, m1, R, q)[0] >= log_kernel_norm(e, m2, R, q)[0]:
-                hi = m2
-            else:
-                lo = m1
-        best = max(best, log_kernel_norm(e, 0.5 * (lo + hi), R, q)[0])
-    return best
+    refined = golden_max(lambda x: log_kernel_norm(e, x, R, q)[0], xs[peaks] - step, xs[peaks] + step)
+    return float(max(vals.max(), refined.max(initial=-np.inf)))
 
 
 def lemma4_check(
@@ -305,6 +293,7 @@ def _maxima_integral(
     transform: str,
     e: IntervalSet,
     g: Weight,
+    quad: Optional[QuadratureSpec],
     cache: Optional[dict],
 ) -> tuple[float, float]:
     """Integral over E of the circle maxima of ``transform(u)`` times the weight.
@@ -314,8 +303,9 @@ def _maxima_integral(
     the exponent p, so p sweeps over one instance reuse one integral.
     """
     canon = canonicalize(as_delta(u))
+    spec = quad or LHS_QUAD
     key = fingerprint_doc(
-        {"u": delta_to_doc(canon), "transform": transform, "e": e.to_doc(), "g": g.to_doc()["pieces"]}
+        {"u": delta_to_doc(canon), "transform": transform, "e": e.to_doc(), "g": g.to_doc()["pieces"], "quad": spec}
     )
     if cache is not None and key in cache:
         return cache[key]
@@ -325,7 +315,7 @@ def _maxima_integral(
 
     up = [canon.minus.charge] if transform == "plus" else [canon.plus.charge, canon.minus.charge]
     hints = [float(x) for charge in up for x in charge.moduli]
-    val, err = integrate_weighted(h, g, e, quad=LHS_QUAD, hints=hints)
+    val, err = integrate_weighted(h, g, e, quad=spec, hints=hints)
     if cache is not None:
         cache[key] = (val, err)
     return val, err
@@ -337,7 +327,7 @@ def lemma1_check(
     g: Weight,
     r: float,
     R: float,
-    quad: QuadratureSpec = MEAN_QUAD,
+    quad: Optional[QuadratureSpec] = None,
     doc: Optional[dict] = None,
     cache: Optional[dict] = None,
 ) -> BoundReport:
@@ -351,11 +341,11 @@ def lemma1_check(
     if m == 0.0:
         return _report("lemma1", 0.0, 0.0, params, 0.0, doc, degenerate=True)
 
-    lhs, lhs_err = _maxima_integral(canon, "plus", e, g, cache)
-    c_plus = circle_mean_nonlinear(canon, "plus", R, quad)
+    lhs, lhs_err = _maxima_integral(canon, "plus", e, g, quad, cache)
+    c_plus = circle_mean_nonlinear(canon, "plus", R, quad or MEAN_QUAD)
     mass = radial_count(canon.minus.charge, R)
     sup_norm = _sup_log_kernel_norm(e, R, q)
-    g_norm = lp_norm(g, e)
+    g_norm = lp_norm(g, e, quad)
     rhs = ((R + r) / (R - r) * c_plus.value * m ** (1.0 / q) + mass * sup_norm) * g_norm
     err = lhs_err + c_plus.error_estimate * m ** (1.0 / q) * (R + r) / (R - r) * g_norm
     return _report("lemma1", lhs, rhs, params, err, doc)
@@ -367,7 +357,7 @@ def main_lemma_check(
     g: Weight,
     r: float,
     b: float,
-    quad: QuadratureSpec = MEAN_QUAD,
+    quad: Optional[QuadratureSpec] = None,
     doc: Optional[dict] = None,
     cache: Optional[dict] = None,
 ) -> BoundReport:
@@ -382,12 +372,12 @@ def main_lemma_check(
     if m == 0.0:
         return _report("main_lemma", 0.0, 0.0, params, 0.0, doc, degenerate=True)
 
-    lhs, lhs_err = _maxima_integral(canon, "plus", e, g, cache)
+    lhs, lhs_err = _maxima_integral(canon, "plus", e, g, quad, cache)
     r1 = (1.0 + b) * r
     r2 = (1.0 + b) ** 2 * r
-    c_plus = circle_mean_nonlinear(canon, "plus", r1, quad)
+    c_plus = circle_mean_nonlinear(canon, "plus", r1, quad or MEAN_QUAD)
     n_ann = counting_integral(canon.minus.charge, r1, r2)
-    g_norm = lp_norm(g, e)
+    g_norm = lp_norm(g, e, quad)
     factor = q * (2.0 + b) / b * g_norm * m ** (1.0 / q) * math.log(4.0 * r1 / m)
     rhs = factor * (c_plus.value + n_ann)
     err = lhs_err + factor * c_plus.error_estimate
@@ -401,7 +391,7 @@ def main_theorem_T(
     r: float,
     r0: float,
     k: float,
-    quad: QuadratureSpec = MEAN_QUAD,
+    quad: Optional[QuadratureSpec] = None,
     doc: Optional[dict] = None,
     cache: Optional[dict] = None,
 ) -> BoundReport:
@@ -418,11 +408,11 @@ def main_theorem_T(
     if m == 0.0:
         return _report("main_theorem_T", 0.0, 0.0, params, 0.0, doc, degenerate=True)
 
-    raw_lhs, raw_err = _maxima_integral(canon, "plus", e, g, cache)
+    raw_lhs, raw_err = _maxima_integral(canon, "plus", e, g, quad, cache)
     lhs = raw_lhs / r
-    t_char = characteristic_T(canon, r0, k * r, quad)
-    c0 = circle_mean_nonlinear(canon, "plus", r0, quad)
-    g_norm = lp_norm(g, e)
+    t_char = characteristic_T(canon, r0, k * r, quad or MEAN_QUAD)
+    c0 = circle_mean_nonlinear(canon, "plus", r0, quad or MEAN_QUAD)
+    g_norm = lp_norm(g, e, quad)
     factor = 4.0 * q * k / (k - 1.0) * g_norm * (m ** (1.0 / q) / r) * math.log(4.0 * k * r / m)
     rhs = factor * (t_char.value + c0.value)
     err = raw_err / r + factor * (t_char.error_estimate + c0.error_estimate)
@@ -436,7 +426,7 @@ def main_theorem_M(
     r: float,
     r0: float,
     k: float,
-    quad: QuadratureSpec = MEAN_QUAD,
+    quad: Optional[QuadratureSpec] = None,
     doc: Optional[dict] = None,
     cache: Optional[dict] = None,
 ) -> BoundReport:
@@ -450,11 +440,11 @@ def main_theorem_M(
     if m == 0.0:
         return _report("main_theorem_M", 0.0, 0.0, params, 0.0, doc, degenerate=True)
 
-    raw_lhs, raw_err = _maxima_integral(u, "abs", e, g, cache)
+    raw_lhs, raw_err = _maxima_integral(u, "abs", e, g, quad, cache)
     lhs = raw_lhs / r
     m_plus = max_on_circle(u, k * r, transform="plus")
-    c_minus = circle_mean_nonlinear(u, "minus", r0, quad)
-    g_norm = lp_norm(g, e)
+    c_minus = circle_mean_nonlinear(u, "minus", r0, quad or MEAN_QUAD)
+    g_norm = lp_norm(g, e, quad)
     factor = 5.0 * q * k / (k - 1.0) * g_norm * (m ** (1.0 / q) / r) * math.log(4.0 * k * r / m)
     rhs = factor * (m_plus.value + c_minus.value)
     err = raw_err / r + factor * c_minus.error_estimate
@@ -467,14 +457,15 @@ def nevanlinna_ratio(
     f: RationalFunctionSpec,
     r: float,
     k: float,
-    quad: QuadratureSpec = MEAN_QUAD,
+    quad: Optional[QuadratureSpec] = None,
     doc: Optional[dict] = None,
     cache: Optional[dict] = None,
 ) -> BoundReport:
     """Averaged max-modulus growth over [0, r] against T at radius kr."""
     _require(r > 0 and math.isfinite(r), "need r > 0")
     _require(k > 1 and math.isfinite(k), "need k > 1")
-    key = fingerprint_doc({"f": rational_to_doc(f), "r": r})
+    lhs_quad = quad or LHS_QUAD
+    key = fingerprint_doc({"f": rational_to_doc(f), "r": r, "quad": lhs_quad})
     if cache is not None and key in cache:
         raw_lhs, raw_err = cache[key]
     else:
@@ -484,11 +475,11 @@ def nevanlinna_ratio(
             return max_on_circles(u, ts, transform="plus")
 
         hints = [float(x) for x in f.poles.moduli if x <= r]
-        raw_lhs, raw_err = integrate(h, 0.0, r, spec=LHS_QUAD, hints=hints + [0.0])
+        raw_lhs, raw_err = integrate(h, 0.0, r, spec=lhs_quad, hints=hints + [0.0])
         if cache is not None:
             cache[key] = (raw_lhs, raw_err)
     lhs = raw_lhs / r
-    t_at_kr = nevanlinna(f, k * r, quad).T
+    t_at_kr = nevanlinna(f, k * r, quad or MEAN_QUAD).T
     # T(kr) is a nonnegative quantity; quadrature noise on an exact zero may
     # come back as a tiny signed residue, which would flip the ratio's sign.
     rhs = t_at_kr.value
@@ -503,30 +494,19 @@ def nevanlinna_ratio(
 
 
 def _minimal_small_set_constant(lhs: float, structure: float, b: float) -> float:
-    """Smallest a >= 1 with (a/b) ln(a/b) * structure >= lhs (inf if none)."""
-    def phi(a: float) -> float:
-        return (a / b) * math.log(a / b)
+    """Smallest a >= 1 with (a/b) ln(a/b) * structure >= lhs (inf if none).
 
+    Past a = 1 the left side increases (a/b >= 1 there, as b <= 1), so the
+    answer is the root of y ln y = c with y = a/b and c = lhs/structure:
+    ln y = W0(c), hence a = b * c / W0(c) with W0 the principal Lambert W.
+    """
     slack = 1e-12 * (1.0 + abs(lhs))
-    if phi(1.0) * structure >= lhs - slack:
+    if (1.0 / b) * math.log(1.0 / b) * structure >= lhs - slack:
         return 1.0
     if structure <= 0.0:
         return math.inf
-    hi = 2.0
-    for _ in range(300):
-        if phi(hi) * structure >= lhs:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) * structure >= lhs:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    c = lhs / structure
+    return b * c / float(lambertw(c).real) if math.isfinite(c) else math.inf
 
 
 def small_intervals_ratio(
@@ -537,7 +517,7 @@ def small_intervals_ratio(
     r: float,
     R: float,
     b: float,
-    quad: QuadratureSpec = MEAN_QUAD,
+    quad: Optional[QuadratureSpec] = None,
     doc: Optional[dict] = None,
     cache: Optional[dict] = None,
 ) -> BoundReport:
@@ -549,15 +529,15 @@ def small_intervals_ratio(
     m = e.measure
     params = {"r0": r0, "r": r, "R": R, "b": b, "mes_E": m}
 
-    lhs, lhs_err = _maxima_integral(u, "abs", e, g, cache) if m > 0 else (0.0, 0.0)
+    lhs, lhs_err = _maxima_integral(u, "abs", e, g, quad, cache) if m > 0 else (0.0, 0.0)
     m_at = max_on_circle(u, (1.0 + b) * R)
     if r0 > 0:
-        c_minus = circle_mean_nonlinear(u, "minus", r0, quad)
+        c_minus = circle_mean_nonlinear(u, "minus", r0, quad or MEAN_QUAD)
         c_minus_val, c_minus_err = c_minus.value, c_minus.error_estimate
     else:
         center = evaluate(DeltaSubharmonicFn.from_potential(u), 0.0)
         c_minus_val, c_minus_err = max(-center, 0.0), 0.0
-    g_sup = lp_norm(g, e)
+    g_sup = lp_norm(g, e, quad)
     mn = min(m, 3.0 * b * R)
     m_inf = m + (mn * math.log(3.0 * math.e * b * R / mn) if mn > 0 else 0.0)
     structure = (m_at.value + 2.0 * c_minus_val) * g_sup * m_inf

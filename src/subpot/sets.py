@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -177,8 +177,8 @@ class Weight:
         return cls(pieces=pieces, p=p)
 
 
-def lp_norm(g: Weight, e: IntervalSet, quad: QuadratureSpec = _LP_QUAD) -> float:
-    """L^p norm of the weight over ``e`` (sup norm when p = inf)."""
+def lp_norm(g: Weight, e: IntervalSet, quad: Optional[QuadratureSpec] = None) -> float:
+    """L^p norm of the weight over ``e`` (sup norm when p = inf); ``quad`` defaults to a tight rule."""
     if e.is_empty:
         return 0.0
     if math.isinf(g.p):
@@ -188,7 +188,7 @@ def lp_norm(g: Weight, e: IntervalSet, quad: QuadratureSpec = _LP_QUAD) -> float
         carr = np.asarray(coeffs)
         for lo, hi in e.intersect(a, b).intervals:
             val, _ = integrate(
-                lambda t: np.maximum(npoly.polyval(t, carr), 0.0) ** g.p, lo, hi, spec=quad
+                lambda t: np.maximum(npoly.polyval(t, carr), 0.0) ** g.p, lo, hi, spec=quad or _LP_QUAD
             )
             total += val
     return total ** (1.0 / g.p)

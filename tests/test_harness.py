@@ -14,8 +14,13 @@ import subpot.inequalities as inequalities
 from subpot import (
     ALL_CHECKERS,
     PROBE_CHECKERS,
+    AtomicMeasure,
     DegenerateInstanceError,
+    DeltaSubharmonicFn,
+    QuadratureSpec,
+    SubharmonicPotential,
     SuiteConfig,
+    delta_to_doc,
     generate_instance,
     rng_for,
     rows_to_csv,
@@ -291,3 +296,36 @@ def test_check_file_replay_reuses_the_integral_across_p(tmp_path, capsys, monkey
     assert capsys.readouterr().out == generated
     assert len(json.loads(saved.read_text())) == combo_count("main_theorem_T", SuiteConfig())
     assert len(calls) == 1
+
+
+def test_quadrature_override_reaches_the_maxima_integral():
+    # The U^+ circle maxima of -ln|z - 1/2| spike at t = 1/2 inside E, so
+    # the lhs integral depends on the tolerance.  One cache serves all calls.
+    u = DeltaSubharmonicFn(
+        plus=SubharmonicPotential(), minus=SubharmonicPotential(AtomicMeasure.from_pairs([(0.5, 1.0)]))
+    )
+    doc = {
+        "u": delta_to_doc(u),
+        "e": [[0.1, 0.9]],
+        "g_pieces": [{"interval": [0.0, 1.0], "coeffs": [1.0]}],
+        "p": 2.0,
+        "r": 1.0,
+        "r0": 0.25,
+        "k": 2.0,
+    }
+    cache: dict = {}
+    default = run_check("main_theorem_T", doc, cache=cache)
+    loose = run_check("main_theorem_T", doc, quad=QuadratureSpec(rel_tol=1e-3), cache=cache)
+    assert loose.lhs != default.lhs
+    assert run_check("main_theorem_T", doc, cache=cache).lhs == default.lhs
+
+
+def test_summary_max_a_comes_from_rows_that_report_a_min():
+    def row(name, a_min):
+        return {"name": name, "degenerate": False, "ratio": 0.5, "holds": True, "a_min": a_min}
+
+    rows = [row("lemma2", None), row("main_lemma", 1.5), row("main_lemma", math.inf), row("main_lemma", 2.5)]
+    cfg = SuiteConfig(checkers=("lemma2", "main_lemma"))
+    plain, with_a = harness._summarize(cfg, rows, [])
+    assert "max_a" not in plain
+    assert with_a["max_a"] == 2.5

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from subpot import (
     AtomicMeasure,
@@ -222,6 +223,12 @@ def test_log_kernel_norm_routes_agree_randomized():
         a, _ = log_kernel_norm(e, x, R, q)
         b, _ = log_kernel_norm(e, x, R, q, method="quadrature")
         assert b == pytest.approx(a, rel=1e-7)
+        # The closed form on an array of points (interval ends included)
+        # agrees with one scalar call per point up to vectorised rounding.
+        xs = np.concatenate([[0.0, x, R], ends, rng.uniform(0.0, R, size=5)])
+        norms, err = log_kernel_norm(e, xs, R, q)
+        assert norms.shape == xs.shape and err == 0.0
+        assert norms == pytest.approx([log_kernel_norm(e, float(t), R, q)[0] for t in xs], rel=1e-14)
 
 
 def test_sup_log_kernel_norm_dominates_samples():
@@ -437,8 +444,14 @@ def test_minimal_constant_solver():
     a1 = _minimal_small_set_constant(0.5, 1.0, 1.0)
     a2 = _minimal_small_set_constant(2.0, 1.0, 1.0)
     assert 1.0 < a1 < a2
-    # Returned point satisfies the defining inequality.
-    assert a2 * math.log(a2) >= 2.0 - 1e-9
+    # a ln a = 2 has the closed-form root e^{W(2)}.
+    assert a2 == pytest.approx(math.exp(float(lambertw(2.0).real)), rel=1e-14)
+    # b < 1: (a/b) ln(a/b) * structure = lhs at a = 0.5 e^{W(1.5)} > 1.
+    a3 = _minimal_small_set_constant(3.0, 2.0, 0.5)
+    assert a3 == pytest.approx(0.5 * math.exp(float(lambertw(1.5).real)), rel=1e-14)
+    assert (a3 / 0.5) * math.log(a3 / 0.5) * 2.0 == pytest.approx(3.0, rel=1e-14)
+    # Below the a = 1 value (2 ln 2 here) the answer is 1.
+    assert _minimal_small_set_constant(1.0, 1.0, 0.5) == 1.0
 
 
 # --- identity check ----------------------------------------------------------
