@@ -201,19 +201,15 @@ def _quad_mean(
     return val / _TWO_PI, err / _TWO_PI
 
 
-def circle_mean(
-    v: FunctionLike, r: float, method: str = "closed_form", quad: QuadratureSpec = DEFAULT_QUAD
-) -> CharacteristicValue:
-    """Mean of ``v`` over the circle of radius ``r > 0``."""
+def circle_mean(v: FunctionLike, r: float) -> CharacteristicValue:
+    """Mean of ``v`` over the circle of radius ``r > 0``, in closed form.
+
+    ``circle_mean_nonlinear(v, "id", r)`` is the quadrature route to the same mean.
+    """
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
-    if method == "closed_form":
-        u = as_delta(v)
-        return CharacteristicValue(_closed_mean(u.plus, r) - _closed_mean(u.minus, r), 0.0, "closed_form")
-    if method == "quadrature":
-        val, err = _quad_mean(v, r, "id", quad)
-        return CharacteristicValue(val, err, "quadrature")
-    raise ValueError(f"unknown method {method!r}")
+    u = as_delta(v)
+    return CharacteristicValue(_closed_mean(u.plus, r) - _closed_mean(u.minus, r), 0.0, "closed_form")
 
 
 def circle_mean_nonlinear(

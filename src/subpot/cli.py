@@ -5,7 +5,8 @@ Four subcommands: ``compute`` prints characteristics of one function,
 ``suite`` runs the randomized verification suite and writes its CSV, and
 ``counterexample`` prints the divergence demonstration.  Exit codes:
 0 success, 1 inequality violation, 2 excessive generation, quadrature or
-checker failures, 3 bad input.
+checker failures (for ``check`` and ``compute``: any such failure), 3 bad
+input.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .characteristics import (
 from .harness import (
     ALL_CHECKERS,
     PROBE_CHECKERS,
+    GenerationError,
     SuiteConfig,
     counterexample,
     generate_instance,
@@ -40,6 +42,7 @@ from .model import (
     potential_from_doc,
     rational_from_doc,
 )
+from .quadrature import QuadratureError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -170,12 +173,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 json.dump(docs[0] if len(docs) == 1 else docs, fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
-    cache: dict = {}
     violated = False
     for doc in docs:
         if not isinstance(doc, dict):
             raise CliError("each instance must be a JSON object")
-        rep = run_check(args.name, doc, cache=cache)
+        rep = run_check(args.name, doc)
         holds = rep.holds()
         print(
             f"{rep.name} lhs={rep.lhs!r} rhs={rep.rhs!r} ratio={rep.ratio!r} "
@@ -265,6 +267,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except (QuadratureError, GenerationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FLAKY
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

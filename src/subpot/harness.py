@@ -15,8 +15,8 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass, field, replace
+from itertools import product, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -100,21 +100,6 @@ class SuiteConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
-    def to_doc(self) -> dict:
-        return {
-            "seed": self.seed,
-            "instances": self.instances,
-            "checkers": list(self.checkers),
-            "k_values": list(self.k_values),
-            "p_values": ["inf" if math.isinf(p) else p for p in self.p_values],
-            "b_values": list(self.b_values),
-            "atom_count_range": list(self.atom_count_range),
-            "radius_range": list(self.radius_range),
-            "quad_rel_tol": self.quad_rel_tol,
-            "quad_abs_tol": self.quad_abs_tol,
-            "jobs": self.jobs,
-        }
-
     @classmethod
     def from_doc(cls, doc: dict) -> "SuiteConfig":
         kwargs = {}
@@ -190,6 +175,10 @@ def _sanitize(obj):
 
 def canonical_json(doc: object) -> str:
     return json.dumps(_sanitize(doc), sort_keys=True, separators=(",", ":"))
+
+
+def _fingerprint(doc: dict) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
 
 
 def _row_from_report(rep: BoundReport, subseed: int) -> dict:
@@ -281,14 +270,6 @@ def _clear_of(measures: Sequence[AtomicMeasure], radii: Sequence[float]) -> bool
     return True
 
 
-def _retry(draw: Callable[[], Optional[dict]], what: str) -> dict:
-    for _ in range(_MAX_DRAWS):
-        base = draw()
-        if base is not None:
-            return base
-    raise GenerationError(f"no admissible instance for {what} within {_MAX_DRAWS} draws")
-
-
 def _draw_weight_pieces(
     rng: np.random.Generator, lo: float, hi: float
 ) -> list[dict]:
@@ -374,41 +355,35 @@ def _gen_lemma_a(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
     return {"a": a, "e": e.to_doc(), "profile": profile}
 
 
-def _gen_lemma1(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
-    def draw() -> Optional[dict]:
-        R = _loguniform(rng, *_radius_span(cfg, 0.5))
-        r = R * float(rng.uniform(0.2, 0.8))
-        u = _draw_delta(rng, cfg, 1.3 * R)
-        if not _clear_of([u.plus.charge, u.minus.charge], [r, R]):
-            return None
-        return {
-            "u": delta_to_doc(u),
-            "e": _draw_set_doc(rng, 0.0, r),
-            "r": r,
-            "R": R,
-            "g_pieces": _draw_weight_pieces(rng, 0.0, r),
-        }
-
-    return _retry(draw, "lemma1")
+def _gen_lemma1(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
+    R = _loguniform(rng, *_radius_span(cfg, 0.5))
+    r = R * float(rng.uniform(0.2, 0.8))
+    u = _draw_delta(rng, cfg, 1.3 * R)
+    if not _clear_of([u.plus.charge, u.minus.charge], [r, R]):
+        return None
+    return {
+        "u": delta_to_doc(u),
+        "e": _draw_set_doc(rng, 0.0, r),
+        "r": r,
+        "R": R,
+        "g_pieces": _draw_weight_pieces(rng, 0.0, r),
+    }
 
 
-def _gen_main_lemma(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
-    def draw() -> Optional[dict]:
-        r = _loguniform(rng, *_radius_span(cfg, 0.3, 4.0))
-        probes = [(1.0 + b) * r for b in cfg.b_values]
-        probes += [(1.0 + b) ** 2 * r for b in cfg.b_values]
-        rmax = 1.1 * max(probes)
-        u = _draw_delta(rng, cfg, rmax)
-        if not _clear_of([u.plus.charge, u.minus.charge], probes + [r]):
-            return None
-        return {
-            "u": delta_to_doc(u),
-            "e": _draw_set_doc(rng, 0.0, r),
-            "r": r,
-            "g_pieces": _draw_weight_pieces(rng, 0.0, r),
-        }
-
-    return _retry(draw, "main_lemma")
+def _gen_main_lemma(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
+    r = _loguniform(rng, *_radius_span(cfg, 0.3, 4.0))
+    probes = [(1.0 + b) * r for b in cfg.b_values]
+    probes += [(1.0 + b) ** 2 * r for b in cfg.b_values]
+    rmax = 1.1 * max(probes)
+    u = _draw_delta(rng, cfg, rmax)
+    if not _clear_of([u.plus.charge, u.minus.charge], probes + [r]):
+        return None
+    return {
+        "u": delta_to_doc(u),
+        "e": _draw_set_doc(rng, 0.0, r),
+        "r": r,
+        "g_pieces": _draw_weight_pieces(rng, 0.0, r),
+    }
 
 
 def _theorem_radii(rng: np.random.Generator, cfg: SuiteConfig) -> tuple[float, float, list[float]]:
@@ -420,66 +395,56 @@ def _theorem_radii(rng: np.random.Generator, cfg: SuiteConfig) -> tuple[float, f
     return r, r0, probes
 
 
-def _gen_main_theorem_T(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
-    def draw() -> Optional[dict]:
-        r, r0, probes = _theorem_radii(rng, cfg)
-        u = _draw_delta(rng, cfg, 1.1 * max(probes))
-        if not _clear_of([u.plus.charge, u.minus.charge], probes):
-            return None
-        return {
-            "u": delta_to_doc(u),
-            "e": _draw_set_doc(rng, 0.0, r, max_pieces=10),
-            "r": r,
-            "r0": r0,
-            "g_pieces": _draw_weight_pieces(rng, 0.0, r),
-        }
-
-    return _retry(draw, "main_theorem_T")
+def _gen_main_theorem_T(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
+    r, r0, probes = _theorem_radii(rng, cfg)
+    u = _draw_delta(rng, cfg, 1.1 * max(probes))
+    if not _clear_of([u.plus.charge, u.minus.charge], probes):
+        return None
+    return {
+        "u": delta_to_doc(u),
+        "e": _draw_set_doc(rng, 0.0, r, max_pieces=10),
+        "r": r,
+        "r0": r0,
+        "g_pieces": _draw_weight_pieces(rng, 0.0, r),
+    }
 
 
-def _gen_main_theorem_M(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
-    def draw() -> Optional[dict]:
-        r, r0, probes = _theorem_radii(rng, cfg)
-        count = (max(cfg.atom_count_range[0], 1), max(cfg.atom_count_range[1], 1))
-        charge = _draw_measure(rng, count, 1.1 * max(probes), origin_prob=0.1)
-        if not _clear_of([charge], probes):
-            return None
-        v = SubharmonicPotential(charge, float(rng.uniform(-0.5, 1.5)))
-        return {
-            "v": potential_to_doc(v),
-            "e": _draw_set_doc(rng, 0.0, r, max_pieces=10),
-            "r": r,
-            "r0": r0,
-            "g_pieces": _draw_weight_pieces(rng, 0.0, r),
-        }
-
-    return _retry(draw, "main_theorem_M")
+def _gen_main_theorem_M(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
+    r, r0, probes = _theorem_radii(rng, cfg)
+    count = (max(cfg.atom_count_range[0], 1), max(cfg.atom_count_range[1], 1))
+    charge = _draw_measure(rng, count, 1.1 * max(probes), origin_prob=0.1)
+    if not _clear_of([charge], probes):
+        return None
+    v = SubharmonicPotential(charge, float(rng.uniform(-0.5, 1.5)))
+    return {
+        "v": potential_to_doc(v),
+        "e": _draw_set_doc(rng, 0.0, r, max_pieces=10),
+        "r": r,
+        "r0": r0,
+        "g_pieces": _draw_weight_pieces(rng, 0.0, r),
+    }
 
 
-def _gen_nevanlinna_ratio(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
+def _gen_nevanlinna_ratio(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
     r_lo, r_hi = cfg.radius_range
-
-    def draw() -> Optional[dict]:
-        # r >= 1 and one pole well inside keep T(kr) positive, so the
-        # reported ratios aggregate to a finite empirical constant.
-        r = _loguniform(rng, max(1.0, r_lo), max(2.0, r_hi))
-        rmax = 1.2 * max(cfg.k_values) * r
-        zeros = _draw_measure(rng, (0, 3), rmax, integer_masses=True)
-        poles = _draw_measure(rng, (0, 3), rmax, origin_prob=0.1, integer_masses=True)
-        inner_modulus = _loguniform(rng, 1e-2, 0.5) * r
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        inner = inner_modulus * complex(math.cos(theta), math.sin(theta))
-        poles = AtomicMeasure.from_pairs(list(poles.atoms) + [(inner, float(rng.integers(1, 4)))])
-        centers = set(zeros.centers.tolist()) & set(poles.centers.tolist())
-        if centers:
-            return None
-        probes = [r] + [k * r for k in cfg.k_values]
-        if not _clear_of([zeros, poles], probes):
-            return None
-        f = RationalFunctionSpec(zeros=zeros, poles=poles, scale=_loguniform(rng, 0.2, 5.0))
-        return {"f": rational_to_doc(f), "r": r}
-
-    return _retry(draw, "nevanlinna_ratio")
+    # r >= 1 and one pole well inside keep T(kr) positive, so the
+    # reported ratios aggregate to a finite empirical constant.
+    r = _loguniform(rng, max(1.0, r_lo), max(2.0, r_hi))
+    rmax = 1.2 * max(cfg.k_values) * r
+    zeros = _draw_measure(rng, (0, 3), rmax, integer_masses=True)
+    poles = _draw_measure(rng, (0, 3), rmax, origin_prob=0.1, integer_masses=True)
+    inner_modulus = _loguniform(rng, 1e-2, 0.5) * r
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    inner = inner_modulus * complex(math.cos(theta), math.sin(theta))
+    poles = AtomicMeasure.from_pairs(list(poles.atoms) + [(inner, float(rng.integers(1, 4)))])
+    centers = set(zeros.centers.tolist()) & set(poles.centers.tolist())
+    if centers:
+        return None
+    probes = [r] + [k * r for k in cfg.k_values]
+    if not _clear_of([zeros, poles], probes):
+        return None
+    f = RationalFunctionSpec(zeros=zeros, poles=poles, scale=_loguniform(rng, 0.2, 5.0))
+    return {"f": rational_to_doc(f), "r": r}
 
 
 def _bounded_b_values(cfg: SuiteConfig) -> tuple[float, ...]:
@@ -487,47 +452,40 @@ def _bounded_b_values(cfg: SuiteConfig) -> tuple[float, ...]:
     return bs if bs else (0.5,)
 
 
-def _gen_small_intervals(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
+def _gen_small_intervals(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
     bs = _bounded_b_values(cfg)
-
-    def draw() -> Optional[dict]:
-        R = _loguniform(rng, *_radius_span(cfg, 0.5))
-        r = R * float(rng.uniform(0.3, 0.85))
-        r0 = r * float(rng.uniform(0.1, 0.8))
-        probes = [r0, r, R] + [(1.0 + b) * R for b in bs]
-        count = (max(cfg.atom_count_range[0], 1), max(cfg.atom_count_range[1], 1))
-        charge = _draw_measure(rng, count, 1.05 * max(probes))
-        if not _clear_of([charge], probes):
-            return None
-        # Pin the circle mean at the innermost outer radius to a positive
-        # target so a finite constant always exists.
-        target = float(rng.uniform(0.1, 1.5))
-        bmin = min(bs)
-        baseline = float(np.sum(charge.masses * np.log(np.maximum((1.0 + bmin) * R, charge.moduli))))
-        v = SubharmonicPotential(charge, target - baseline)
-        return {
-            "v": potential_to_doc(v),
-            "e": _draw_set_doc(rng, r, R),
-            "r0": r0,
-            "r": r,
-            "R": R,
-            "g_pieces": _draw_weight_pieces(rng, r, R),
-        }
-
-    return _retry(draw, "small_intervals_ratio")
+    R = _loguniform(rng, *_radius_span(cfg, 0.5))
+    r = R * float(rng.uniform(0.3, 0.85))
+    r0 = r * float(rng.uniform(0.1, 0.8))
+    probes = [r0, r, R] + [(1.0 + b) * R for b in bs]
+    count = (max(cfg.atom_count_range[0], 1), max(cfg.atom_count_range[1], 1))
+    charge = _draw_measure(rng, count, 1.05 * max(probes))
+    if not _clear_of([charge], probes):
+        return None
+    # Pin the circle mean at the innermost outer radius to a positive
+    # target so a finite constant always exists.
+    target = float(rng.uniform(0.1, 1.5))
+    bmin = min(bs)
+    baseline = float(np.sum(charge.masses * np.log(np.maximum((1.0 + bmin) * R, charge.moduli))))
+    v = SubharmonicPotential(charge, target - baseline)
+    return {
+        "v": potential_to_doc(v),
+        "e": _draw_set_doc(rng, r, R),
+        "r0": r0,
+        "r": r,
+        "R": R,
+        "g_pieces": _draw_weight_pieces(rng, r, R),
+    }
 
 
-def _gen_pjp_identity(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
-    def draw() -> Optional[dict]:
-        R = _loguniform(rng, *_radius_span(cfg, 0.3))
-        r = R * float(rng.uniform(0.05, 0.8))
-        charge = _draw_measure(rng, cfg.atom_count_range, 1.2 * R, origin_prob=0.1)
-        if not _clear_of([charge], [r, R]):
-            return None
-        v = SubharmonicPotential(charge, float(rng.uniform(-1.0, 1.0)))
-        return {"v": potential_to_doc(v), "r": r, "R": R}
-
-    return _retry(draw, "pjp_identity")
+def _gen_pjp_identity(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
+    R = _loguniform(rng, *_radius_span(cfg, 0.3))
+    r = R * float(rng.uniform(0.05, 0.8))
+    charge = _draw_measure(rng, cfg.atom_count_range, 1.2 * R, origin_prob=0.1)
+    if not _clear_of([charge], [r, R]):
+        return None
+    v = SubharmonicPotential(charge, float(rng.uniform(-1.0, 1.0)))
+    return {"v": potential_to_doc(v), "r": r, "R": R}
 
 
 # --- doc-driven checker dispatch -------------------------------------------
@@ -563,13 +521,14 @@ def _floats(doc: dict, *keys: str) -> tuple[float, ...]:
     return tuple(float(doc[key]) for key in keys)
 
 
-def _weighted(
-    check: Callable[..., BoundReport], parse: Callable[[dict], object], key: str, *scalars: str
-) -> Callable[..., BoundReport]:
-    """Adapter for checkers called as ``check(fn, E, g, *scalars)`` that take the unit cache."""
-    def call(d: dict, cache: Optional[dict], **kw) -> BoundReport:
+_Call = Callable[[dict, Optional[QuadratureSpec]], BoundReport]
+
+
+def _weighted(check: Callable[..., BoundReport], parse: Callable[[dict], object], key: str, *scalars: str) -> _Call:
+    """Adapter for checkers called as ``check(fn, E, g, *scalars, quad=quad)``."""
+    def call(d: dict, quad: Optional[QuadratureSpec]) -> BoundReport:
         e = IntervalSet.from_pairs(d["e"])
-        return check(parse(d[key]), e, _doc_weight(d), *_floats(d, *scalars), doc=d, cache=cache, **kw)
+        return check(parse(d[key]), e, _doc_weight(d), *_floats(d, *scalars), quad=quad)
 
     return call
 
@@ -589,16 +548,17 @@ _P: _Axis = ("p", lambda cfg: ["inf" if math.isinf(p) else p for p in cfg.p_valu
 class CheckerSpec:
     """How the suite drives one checker.
 
-    ``generate`` draws the base instance document; ``axes`` lists the combo
+    ``generate`` draws the base instance document, or ``None`` when the
+    draw is inadmissible and must be repeated; ``axes`` lists the combo
     parameters, the first axis outermost; ``call`` evaluates one full
-    document, given the unit's cache and the quadrature override as
-    keywords.  Probes report empirical constants and assert no inequality
-    of their own, so their rows never count as violations.
+    document under a quadrature override (``None`` keeps every default).
+    Probes report empirical constants and assert no inequality of their
+    own, so their rows never count as violations.
     """
 
-    generate: Callable[[np.random.Generator, SuiteConfig], dict]
+    generate: Callable[[np.random.Generator, SuiteConfig], Optional[dict]]
     axes: tuple[_Axis, ...]
-    call: Callable[..., BoundReport]
+    call: _Call
     probe: bool = False
 
     def combos(self, cfg: SuiteConfig) -> tuple[dict, ...]:
@@ -610,30 +570,27 @@ CHECKERS: dict[str, CheckerSpec] = {
     "lemma2": CheckerSpec(
         _gen_lemma2,
         (),
-        lambda d, cache, **kw: lemma2_check(atoms_from_doc(d["measure"]), *_floats(d, "r", "R"), doc=d),
+        lambda d, quad: lemma2_check(atoms_from_doc(d["measure"]), *_floats(d, "r", "R")),
     ),
     "lemma3": CheckerSpec(
         _gen_lemma3,
         (),
-        lambda d, cache, **kw: lemma3_check(*_floats(d, "q", "A", "a"), doc=d, **kw),
+        lambda d, quad: lemma3_check(*_floats(d, "q", "A", "a"), quad=quad),
     ),
     "lemma4": CheckerSpec(
         _gen_lemma4,
         (),
-        lambda d, cache, **kw: lemma4_check(
-            IntervalSet.from_pairs(d["e"]), *_floats(d, "x", "r", "R", "q"), doc=d, **kw
-        ),
+        lambda d, quad: lemma4_check(IntervalSet.from_pairs(d["e"]), *_floats(d, "x", "r", "R", "q"), quad=quad),
     ),
     "lemma_a": CheckerSpec(
         _gen_lemma_a,
         (),
-        lambda d, cache, **kw: lemma_a_check(
+        lambda d, quad: lemma_a_check(
             _profile_fn(d["profile"], float(d["a"])),
             IntervalSet.from_pairs(d["e"]),
             float(d["a"]),
-            doc=d,
+            quad=quad,
             params=dict(d["profile"]),
-            **kw,
         ),
     ),
     "lemma1": CheckerSpec(_gen_lemma1, (_P,), _weighted(lemma1_check, delta_from_doc, "u", "r", "R")),
@@ -649,9 +606,7 @@ CHECKERS: dict[str, CheckerSpec] = {
     "nevanlinna_ratio": CheckerSpec(
         _gen_nevanlinna_ratio,
         (_K,),
-        lambda d, cache, **kw: nevanlinna_ratio(
-            rational_from_doc(d["f"]), *_floats(d, "r", "k"), doc=d, cache=cache, **kw
-        ),
+        lambda d, quad: nevanlinna_ratio(rational_from_doc(d["f"]), *_floats(d, "r", "k"), quad=quad),
         probe=True,
     ),
     "small_intervals_ratio": CheckerSpec(
@@ -663,7 +618,7 @@ CHECKERS: dict[str, CheckerSpec] = {
     "pjp_identity": CheckerSpec(
         _gen_pjp_identity,
         (),
-        lambda d, cache, **kw: pjp_identity_check(potential_from_doc(d["v"]), *_floats(d, "r", "R"), doc=d, **kw),
+        lambda d, quad: pjp_identity_check(potential_from_doc(d["v"]), *_floats(d, "r", "R"), quad=quad),
     ),
 }
 
@@ -683,16 +638,23 @@ def combo_count(name: str, cfg: SuiteConfig) -> int:
 
 
 def generate_instance(name: str, rng: np.random.Generator, cfg: SuiteConfig) -> GeneratedInstance:
+    """Draw until the checker's generator accepts, at most ``_MAX_DRAWS`` times."""
     spec = _spec(name)
-    return GeneratedInstance(spec.generate(rng, cfg), spec.combos(cfg))
+    for _ in range(_MAX_DRAWS):
+        base = spec.generate(rng, cfg)
+        if base is not None:
+            return GeneratedInstance(base, spec.combos(cfg))
+    raise GenerationError(f"no admissible instance for {name} within {_MAX_DRAWS} draws")
 
 
-def run_check(
-    name: str, doc: dict, quad: Optional[QuadratureSpec] = None, cache: Optional[dict] = None
-) -> BoundReport:
-    """Evaluate one checker on a self-contained instance document."""
-    kw = {"quad": quad} if quad is not None else {}
-    return _spec(name).call(doc, cache, **kw)
+def run_check(name: str, doc: dict, quad: Optional[QuadratureSpec] = None) -> BoundReport:
+    """Evaluate one checker on a self-contained instance document.
+
+    The report's ``instance_fingerprint`` is a hash of the document's
+    canonical JSON; checkers called directly leave it empty.
+    """
+    rep = _spec(name).call(doc, quad)
+    return replace(rep, instance_fingerprint=_fingerprint(doc))
 
 
 # --- suite runner -----------------------------------------------------------
@@ -709,11 +671,10 @@ def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[
         ]
     rows: list[dict] = []
     failures: list[dict] = []
-    cache: dict = {}
     for combo in inst.combos:
         doc = {**inst.base_doc, **combo}
         try:
-            rep = run_check(name, doc, quad=quad, cache=cache)
+            rep = run_check(name, doc, quad=quad)
         except (QuadratureError, ValueError) as exc:
             # ValueError covers DegenerateInstanceError and any instance a
             # checker rejects; one bad combo must not abort the suite.
@@ -729,11 +690,6 @@ def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[
             continue
         rows.append(_row_from_report(rep, subseed))
     return rows, failures
-
-
-def _unit_worker(args: tuple[str, int, dict]) -> tuple[str, int, tuple[list[dict], list[dict]]]:
-    name, index, cfg_doc = args
-    return name, index, run_unit(name, index, SuiteConfig.from_doc(cfg_doc))
 
 
 @dataclass
@@ -773,23 +729,17 @@ def _summarize(cfg: SuiteConfig, rows: list[dict], failures: list[dict]) -> list
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteResult:
-    units = [(name, index) for name in cfg.checkers for index in range(cfg.instances)]
-    results: dict[tuple[str, int], tuple[list[dict], list[dict]]] = {}
+    units = list(product(cfg.checkers, range(cfg.instances)))
     if cfg.jobs > 1 and len(units) > 1:
-        cfg_doc = cfg.to_doc()
+        # Executor.map yields in submission order, so rows keep unit order.
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for name, index, payload in pool.map(
-                _unit_worker, [(n, i, cfg_doc) for n, i in units], chunksize=4
-            ):
-                results[(name, index)] = payload
+            results = list(pool.map(run_unit, *zip(*units), repeat(cfg), chunksize=4))
     else:
-        for name, index in units:
-            results[(name, index)] = run_unit(name, index, cfg)
+        results = [run_unit(name, index, cfg) for name, index in units]
 
     rows: list[dict] = []
     failures: list[dict] = []
-    for name, index in units:
-        unit_rows, unit_failures = results[(name, index)]
+    for unit_rows, unit_failures in results:
         rows.extend(unit_rows)
         failures.extend(unit_failures)
 

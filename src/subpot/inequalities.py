@@ -10,10 +10,9 @@ the accumulated quadrature error estimates.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +21,6 @@ from scipy.special import gammaincc as _gammaincc
 from scipy.special import lambertw
 
 from .characteristics import (
-    FunctionLike,
     as_delta,
     characteristic_T,
     circle_mean_nonlinear,
@@ -38,10 +36,8 @@ from .model import (
     RationalFunctionSpec,
     SubharmonicPotential,
     canonicalize,
-    delta_to_doc,
     evaluate,
     ln_abs,
-    rational_to_doc,
 )
 from .quadrature import QuadratureSpec, integrate
 from .search import golden_max, grid_peaks
@@ -50,17 +46,12 @@ from .sets import IntervalSet, Weight, integrate_weighted, lp_norm, rearranged_m
 # Circle-max integrands are expensive; their integrals feed a ratio with
 # generous theorem slack, so a looser tolerance is enough.  A checker's
 # ``quad`` argument, when given, overrides these defaults (and the weight
-# norm's) for every integral the checker runs.
+# norm's) for every integral the checker runs; ``None`` keeps each default.
 LHS_QUAD = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10, max_panels=2**14)
 MEAN_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
 NORM_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
 
 _SUP_GRID = 256
-
-
-def fingerprint_doc(doc: object) -> str:
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _safe_ratio(lhs: float, rhs: float) -> float:
@@ -96,7 +87,6 @@ def _report(
     rhs: float,
     params: dict,
     err: float,
-    doc: Optional[dict],
     degenerate: bool = False,
 ) -> BoundReport:
     return BoundReport(
@@ -106,7 +96,6 @@ def _report(
         ratio=_safe_ratio(lhs, rhs),
         params=params,
         error_estimate=float(err),
-        instance_fingerprint=fingerprint_doc(doc if doc is not None else params),
         degenerate=degenerate,
     )
 
@@ -125,19 +114,19 @@ def _require_subset(e: IntervalSet, lo: float, hi: float, what: str) -> None:
 
 # --- mass bound by annulus counting --------------------------------------
 
-def lemma2_check(mu: AtomicMeasure, r: float, R: float, doc: Optional[dict] = None) -> BoundReport:
+def lemma2_check(mu: AtomicMeasure, r: float, R: float) -> BoundReport:
     """Closed-disc mass against R/(R-r) times the annulus counting integral."""
     _require(0 <= r < R and math.isfinite(R), "need 0 <= r < R, finite")
     lhs = radial_count(mu, r)
     rhs = R / (R - r) * counting_integral(mu, r, R)
     params = {"r": r, "R": R, "total_mass": mu.total_mass}
-    return _report("lemma2", lhs, rhs, params, 0.0, doc)
+    return _report("lemma2", lhs, rhs, params, 0.0)
 
 
 # --- elementary log-power integral bound ----------------------------------
 
 def lemma3_check(
-    q: float, A: float, a: float, quad: QuadratureSpec = NORM_QUAD, doc: Optional[dict] = None
+    q: float, A: float, a: float, quad: Optional[QuadratureSpec] = None
 ) -> BoundReport:
     """Integral of ln^q(A/x) on (0, a] against (1 + q^(q+1)) * a * ln^q(A/a)."""
     _require(q >= 0, "need q >= 0")
@@ -147,10 +136,10 @@ def lemma3_check(
         with np.errstate(divide="ignore"):
             return np.log(A / x) ** q
 
-    lhs, err = integrate(integrand, 0.0, a, spec=quad, hints=[0.0])
+    lhs, err = integrate(integrand, 0.0, a, spec=quad or NORM_QUAD, hints=[0.0])
     rhs = (1.0 + q ** (q + 1.0)) * a * math.log(A / a) ** q
     params = {"q": q, "A": A, "a": a}
-    return _report("lemma3", lhs, rhs, params, err, doc)
+    return _report("lemma3", lhs, rhs, params, err)
 
 
 # --- L^q norm of the shifted log kernel -----------------------------------
@@ -243,8 +232,7 @@ def lemma4_check(
     r: float,
     R: float,
     q: float,
-    quad: QuadratureSpec = NORM_QUAD,
-    doc: Optional[dict] = None,
+    quad: Optional[QuadratureSpec] = None,
 ) -> BoundReport:
     """Shifted log-kernel norm against 2q * (mes E)^(1/q) * ln(4R / mes E)."""
     _require(q >= 1, "need q >= 1")
@@ -254,10 +242,10 @@ def lemma4_check(
     m = e.measure
     params = {"x": x, "r": r, "R": R, "q": q, "mes_E": m}
     if m == 0.0:
-        return _report("lemma4", 0.0, 0.0, params, 0.0, doc, degenerate=True)
-    lhs, err = log_kernel_norm(e, x, R, q, method="quadrature", quad=quad)
+        return _report("lemma4", 0.0, 0.0, params, 0.0, degenerate=True)
+    lhs, err = log_kernel_norm(e, x, R, q, method="quadrature", quad=quad or NORM_QUAD)
     rhs = 2.0 * q * m ** (1.0 / q) * math.log(4.0 * R / m)
-    return _report("lemma4", lhs, rhs, params, err, doc)
+    return _report("lemma4", lhs, rhs, params, err)
 
 
 # --- symmetric rearrangement bound ----------------------------------------
@@ -266,12 +254,11 @@ def lemma_a_check(
     f: Callable[[np.ndarray], np.ndarray],
     e: IntervalSet,
     a: float,
-    quad: QuadratureSpec = NORM_QUAD,
-    doc: Optional[dict] = None,
+    quad: Optional[QuadratureSpec] = None,
     params: Optional[dict] = None,
 ) -> BoundReport:
     """Set integral of an even decreasing profile against its centered bound."""
-    rec = rearranged_majorant(f, e, a, quad=quad)
+    rec = rearranged_majorant(f, e, a, quad=quad or NORM_QUAD)
     out_params = {"a": a, "mes_E": e.measure}
     if params:
         out_params.update(params)
@@ -281,44 +268,33 @@ def lemma_a_check(
         rec["rhs"],
         out_params,
         rec["lhs_err"] + rec["rhs_err"],
-        doc,
         degenerate=e.is_empty,
     )
 
 
 # --- maxima integrals against growth characteristics ----------------------
 
+@lru_cache(maxsize=1)
 def _maxima_integral(
-    u: FunctionLike,
+    canon: DeltaSubharmonicFn,
     transform: str,
     e: IntervalSet,
-    g: Weight,
-    quad: Optional[QuadratureSpec],
-    cache: Optional[dict],
+    pieces: tuple,
+    spec: QuadratureSpec,
 ) -> tuple[float, float]:
-    """Integral over E of the circle maxima of ``transform(u)`` times the weight.
+    """Integral over E of the circle maxima of ``transform(canon)`` times the weight pieces.
 
     Quadrature is split at the moduli of the atoms whose spike the transform
-    sends upward.  The cache key covers everything the integral reads except
-    the exponent p, so p sweeps over one instance reuse one integral.
+    sends upward.  The memo is keyed on the arguments, which leave out the
+    exponent p, so a p sweep over one instance reuses one integral.
     """
-    canon = canonicalize(as_delta(u))
-    spec = quad or LHS_QUAD
-    key = fingerprint_doc(
-        {"u": delta_to_doc(canon), "transform": transform, "e": e.to_doc(), "g": g.to_doc()["pieces"], "quad": spec}
-    )
-    if cache is not None and key in cache:
-        return cache[key]
 
     def h(ts: np.ndarray) -> np.ndarray:
         return max_on_circles(canon, ts, transform=transform)
 
     up = [canon.minus.charge] if transform == "plus" else [canon.plus.charge, canon.minus.charge]
     hints = [float(x) for charge in up for x in charge.moduli]
-    val, err = integrate_weighted(h, g, e, quad=spec, hints=hints)
-    if cache is not None:
-        cache[key] = (val, err)
-    return val, err
+    return integrate_weighted(h, Weight(pieces, math.inf), e, quad=spec, hints=hints)
 
 
 def lemma1_check(
@@ -328,8 +304,6 @@ def lemma1_check(
     r: float,
     R: float,
     quad: Optional[QuadratureSpec] = None,
-    doc: Optional[dict] = None,
-    cache: Optional[dict] = None,
 ) -> BoundReport:
     """Weighted maxima integral against the Poisson and kernel-norm bound."""
     _require(0 <= r < R and math.isfinite(R), "need 0 <= r < R, finite")
@@ -339,16 +313,16 @@ def lemma1_check(
     q = g.q
     params = {"r": r, "R": R, "p": g.p, "q": q, "mes_E": m}
     if m == 0.0:
-        return _report("lemma1", 0.0, 0.0, params, 0.0, doc, degenerate=True)
+        return _report("lemma1", 0.0, 0.0, params, 0.0, degenerate=True)
 
-    lhs, lhs_err = _maxima_integral(canon, "plus", e, g, quad, cache)
+    lhs, lhs_err = _maxima_integral(canon, "plus", e, g.pieces, quad or LHS_QUAD)
     c_plus = circle_mean_nonlinear(canon, "plus", R, quad or MEAN_QUAD)
     mass = radial_count(canon.minus.charge, R)
     sup_norm = _sup_log_kernel_norm(e, R, q)
     g_norm = lp_norm(g, e, quad)
     rhs = ((R + r) / (R - r) * c_plus.value * m ** (1.0 / q) + mass * sup_norm) * g_norm
     err = lhs_err + c_plus.error_estimate * m ** (1.0 / q) * (R + r) / (R - r) * g_norm
-    return _report("lemma1", lhs, rhs, params, err, doc)
+    return _report("lemma1", lhs, rhs, params, err)
 
 
 def main_lemma_check(
@@ -358,8 +332,6 @@ def main_lemma_check(
     r: float,
     b: float,
     quad: Optional[QuadratureSpec] = None,
-    doc: Optional[dict] = None,
-    cache: Optional[dict] = None,
 ) -> BoundReport:
     """Weighted maxima integral against the single-radius characteristic bound."""
     _require(r > 0 and math.isfinite(r), "need r > 0")
@@ -370,9 +342,9 @@ def main_lemma_check(
     q = g.q
     params = {"r": r, "b": b, "p": g.p, "q": q, "mes_E": m}
     if m == 0.0:
-        return _report("main_lemma", 0.0, 0.0, params, 0.0, doc, degenerate=True)
+        return _report("main_lemma", 0.0, 0.0, params, 0.0, degenerate=True)
 
-    lhs, lhs_err = _maxima_integral(canon, "plus", e, g, quad, cache)
+    lhs, lhs_err = _maxima_integral(canon, "plus", e, g.pieces, quad or LHS_QUAD)
     r1 = (1.0 + b) * r
     r2 = (1.0 + b) ** 2 * r
     c_plus = circle_mean_nonlinear(canon, "plus", r1, quad or MEAN_QUAD)
@@ -381,7 +353,7 @@ def main_lemma_check(
     factor = q * (2.0 + b) / b * g_norm * m ** (1.0 / q) * math.log(4.0 * r1 / m)
     rhs = factor * (c_plus.value + n_ann)
     err = lhs_err + factor * c_plus.error_estimate
-    return _report("main_lemma", lhs, rhs, params, err, doc)
+    return _report("main_lemma", lhs, rhs, params, err)
 
 
 def main_theorem_T(
@@ -392,8 +364,6 @@ def main_theorem_T(
     r0: float,
     k: float,
     quad: Optional[QuadratureSpec] = None,
-    doc: Optional[dict] = None,
-    cache: Optional[dict] = None,
 ) -> BoundReport:
     """Normalized maxima integral against the two-radius characteristic bound."""
     _require(0 < r0 < r and math.isfinite(r), "need 0 < r0 < r")
@@ -406,9 +376,9 @@ def main_theorem_T(
     q = g.q
     params = {"r0": r0, "r": r, "k": k, "p": g.p, "q": q, "mes_E": m}
     if m == 0.0:
-        return _report("main_theorem_T", 0.0, 0.0, params, 0.0, doc, degenerate=True)
+        return _report("main_theorem_T", 0.0, 0.0, params, 0.0, degenerate=True)
 
-    raw_lhs, raw_err = _maxima_integral(canon, "plus", e, g, quad, cache)
+    raw_lhs, raw_err = _maxima_integral(canon, "plus", e, g.pieces, quad or LHS_QUAD)
     lhs = raw_lhs / r
     t_char = characteristic_T(canon, r0, k * r, quad or MEAN_QUAD)
     c0 = circle_mean_nonlinear(canon, "plus", r0, quad or MEAN_QUAD)
@@ -416,7 +386,7 @@ def main_theorem_T(
     factor = 4.0 * q * k / (k - 1.0) * g_norm * (m ** (1.0 / q) / r) * math.log(4.0 * k * r / m)
     rhs = factor * (t_char.value + c0.value)
     err = raw_err / r + factor * (t_char.error_estimate + c0.error_estimate)
-    return _report("main_theorem_T", lhs, rhs, params, err, doc)
+    return _report("main_theorem_T", lhs, rhs, params, err)
 
 
 def main_theorem_M(
@@ -427,8 +397,6 @@ def main_theorem_M(
     r0: float,
     k: float,
     quad: Optional[QuadratureSpec] = None,
-    doc: Optional[dict] = None,
-    cache: Optional[dict] = None,
 ) -> BoundReport:
     """Normalized modulus-maxima integral against the single-component bound."""
     _require(0 < r0 < r and math.isfinite(r), "need 0 < r0 < r")
@@ -438,9 +406,9 @@ def main_theorem_M(
     q = g.q
     params = {"r0": r0, "r": r, "k": k, "p": g.p, "q": q, "mes_E": m}
     if m == 0.0:
-        return _report("main_theorem_M", 0.0, 0.0, params, 0.0, doc, degenerate=True)
+        return _report("main_theorem_M", 0.0, 0.0, params, 0.0, degenerate=True)
 
-    raw_lhs, raw_err = _maxima_integral(u, "abs", e, g, quad, cache)
+    raw_lhs, raw_err = _maxima_integral(canonicalize(as_delta(u)), "abs", e, g.pieces, quad or LHS_QUAD)
     lhs = raw_lhs / r
     m_plus = max_on_circle(u, k * r, transform="plus")
     c_minus = circle_mean_nonlinear(u, "minus", r0, quad or MEAN_QUAD)
@@ -448,36 +416,33 @@ def main_theorem_M(
     factor = 5.0 * q * k / (k - 1.0) * g_norm * (m ** (1.0 / q) / r) * math.log(4.0 * k * r / m)
     rhs = factor * (m_plus.value + c_minus.value)
     err = raw_err / r + factor * c_minus.error_estimate
-    return _report("main_theorem_M", lhs, rhs, params, err, doc)
+    return _report("main_theorem_M", lhs, rhs, params, err)
 
 
 # --- characteristic-comparison probes (no absolute constant exists) -------
+
+@lru_cache(maxsize=1)
+def _nevanlinna_lhs(f: RationalFunctionSpec, r: float, spec: QuadratureSpec) -> tuple[float, float]:
+    """Integral over [0, r] of the circle maxima of ln+|f|, memoised on its arguments."""
+    u = ln_abs(f)
+
+    def h(ts: np.ndarray) -> np.ndarray:
+        return max_on_circles(u, ts, transform="plus")
+
+    hints = [float(x) for x in f.poles.moduli if x <= r]
+    return integrate(h, 0.0, r, spec=spec, hints=hints + [0.0])
+
 
 def nevanlinna_ratio(
     f: RationalFunctionSpec,
     r: float,
     k: float,
     quad: Optional[QuadratureSpec] = None,
-    doc: Optional[dict] = None,
-    cache: Optional[dict] = None,
 ) -> BoundReport:
     """Averaged max-modulus growth over [0, r] against T at radius kr."""
     _require(r > 0 and math.isfinite(r), "need r > 0")
     _require(k > 1 and math.isfinite(k), "need k > 1")
-    lhs_quad = quad or LHS_QUAD
-    key = fingerprint_doc({"f": rational_to_doc(f), "r": r, "quad": lhs_quad})
-    if cache is not None and key in cache:
-        raw_lhs, raw_err = cache[key]
-    else:
-        u = ln_abs(f)
-
-        def h(ts: np.ndarray) -> np.ndarray:
-            return max_on_circles(u, ts, transform="plus")
-
-        hints = [float(x) for x in f.poles.moduli if x <= r]
-        raw_lhs, raw_err = integrate(h, 0.0, r, spec=lhs_quad, hints=hints + [0.0])
-        if cache is not None:
-            cache[key] = (raw_lhs, raw_err)
+    raw_lhs, raw_err = _nevanlinna_lhs(f, r, quad or LHS_QUAD)
     lhs = raw_lhs / r
     t_at_kr = nevanlinna(f, k * r, quad or MEAN_QUAD).T
     # T(kr) is a nonnegative quantity; quadrature noise on an exact zero may
@@ -486,11 +451,8 @@ def nevanlinna_ratio(
     if abs(rhs) <= t_at_kr.error_estimate + 1e-12 * (1.0 + abs(lhs)):
         rhs = 0.0
     params = {"r": r, "k": k}
-    report = _report("nevanlinna_ratio", lhs, rhs, params, raw_err / r + t_at_kr.error_estimate, doc)
-    degenerate = report.rhs == 0.0 and report.lhs == 0.0
-    if degenerate:
-        report = _report("nevanlinna_ratio", lhs, rhs, params, report.error_estimate, doc, degenerate=True)
-    return report
+    err = raw_err / r + t_at_kr.error_estimate
+    return _report("nevanlinna_ratio", lhs, rhs, params, err, degenerate=lhs == 0.0 and rhs == 0.0)
 
 
 def _minimal_small_set_constant(lhs: float, structure: float, b: float) -> float:
@@ -518,8 +480,6 @@ def small_intervals_ratio(
     R: float,
     b: float,
     quad: Optional[QuadratureSpec] = None,
-    doc: Optional[dict] = None,
-    cache: Optional[dict] = None,
 ) -> BoundReport:
     """Empirical minimal constant in the bounded-weight small-interval bound."""
     _require(0 <= r0 <= r < R and math.isfinite(R), "need 0 <= r0 <= r < R")
@@ -529,7 +489,9 @@ def small_intervals_ratio(
     m = e.measure
     params = {"r0": r0, "r": r, "R": R, "b": b, "mes_E": m}
 
-    lhs, lhs_err = _maxima_integral(u, "abs", e, g, quad, cache) if m > 0 else (0.0, 0.0)
+    lhs, lhs_err = (
+        _maxima_integral(canonicalize(as_delta(u)), "abs", e, g.pieces, quad or LHS_QUAD) if m > 0 else (0.0, 0.0)
+    )
     m_at = max_on_circle(u, (1.0 + b) * R)
     if r0 > 0:
         c_minus = circle_mean_nonlinear(u, "minus", r0, quad or MEAN_QUAD)
@@ -551,7 +513,6 @@ def small_intervals_ratio(
         structure,
         params,
         lhs_err + 2.0 * c_minus_err * g_sup * m_inf,
-        doc,
         degenerate=degenerate,
     )
 
@@ -559,20 +520,14 @@ def small_intervals_ratio(
 # --- quadrature-vs-closed-form identity -----------------------------------
 
 def pjp_identity_check(
-    v: SubharmonicPotential,
-    r: float,
-    R: float,
-    quad: QuadratureSpec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13),
-    atol: float = 1e-8,
-    rtol: float = 1e-8,
-    doc: Optional[dict] = None,
+    v: SubharmonicPotential, r: float, R: float, quad: Optional[QuadratureSpec] = None
 ) -> BoundReport:
-    """Circle-mean difference by quadrature against the counting integral."""
+    """Circle-mean difference by quadrature against the counting integral (tolerance 1e-8 + 1e-8 |N|)."""
     _require(0 < r <= R and math.isfinite(R), "need 0 < r <= R, finite")
-    hi = circle_mean_nonlinear(v, "id", R, quad)
-    lo = circle_mean_nonlinear(v, "id", r, quad)
+    hi = circle_mean_nonlinear(v, "id", R, quad or NORM_QUAD)
+    lo = circle_mean_nonlinear(v, "id", r, quad or NORM_QUAD)
     n_val = counting_integral(v.charge, r, R)
     lhs = abs(hi.value - lo.value - n_val)
-    rhs = atol + rtol * abs(n_val)
+    rhs = 1e-8 + 1e-8 * abs(n_val)
     params = {"r": r, "R": R, "n_value": n_val}
-    return _report("pjp_identity", lhs, rhs, params, hi.error_estimate + lo.error_estimate, doc)
+    return _report("pjp_identity", lhs, rhs, params, hi.error_estimate + lo.error_estimate)

@@ -56,10 +56,6 @@ class IntervalSet:
         return float(sum(b - a for a, b in self.intervals))
 
     @property
-    def pieces(self) -> int:
-        return len(self.intervals)
-
-    @property
     def lower(self) -> float:
         return self.intervals[0][0] if self.intervals else math.nan
 
@@ -138,26 +134,12 @@ class Weight:
         """Conjugate exponent: p/(p-1), with q = 1 for p = inf."""
         return 1.0 if math.isinf(self.p) else self.p / (self.p - 1.0)
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, float)
-        out = np.zeros(t.shape)
-        for (a, b), coeffs in self.pieces:
-            mask = (t >= a) & (t <= b)
-            if np.any(mask):
-                out[mask] = npoly.polyval(t[mask], np.asarray(coeffs))
-        return np.maximum(out, 0.0)
-
     def sup_on(self, e: IntervalSet) -> float:
-        """Essential sup over ``e`` (0 contributes where ``e`` leaves the support)."""
+        """Essential sup over ``e``; 0 where ``e`` leaves the support, so never below 0."""
         best = 0.0
-        covered = 0.0
         for (a, b), coeffs in self.pieces:
             for lo, hi in e.intersect(a, b).intervals:
-                _, high = _poly_extrema(coeffs, lo, hi)
-                best = max(best, high)
-                covered += hi - lo
-        if covered < e.measure - 1e-12 * (1.0 + e.measure):
-            best = max(best, 0.0)
+                best = max(best, _poly_extrema(coeffs, lo, hi)[1])
         return best
 
     def to_doc(self) -> dict:

@@ -86,7 +86,7 @@ def test_circle_mean_atom_on_circle_both_routes():
     closed = circle_mean(u, 1.0)
     assert closed.value == pytest.approx(0.0, abs=1e-14)
     assert closed.error_estimate == 0.0 and closed.method == "closed_form"
-    quad = circle_mean(u, 1.0, method="quadrature")
+    quad = circle_mean_nonlinear(u, "id", 1.0)
     assert quad.value == pytest.approx(0.0, abs=1e-5)
 
 
@@ -95,7 +95,7 @@ def test_circle_mean_routes_agree_on_random_potentials():
     for _ in range(15):
         u = _random_potential(rng, avoid=(1.7,))
         a = circle_mean(u, 1.7)
-        b = circle_mean(u, 1.7, method="quadrature")
+        b = circle_mean_nonlinear(u, "id", 1.7)
         assert b.value == pytest.approx(a.value, rel=1e-8, abs=1e-8)
 
 

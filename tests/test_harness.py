@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -17,11 +18,16 @@ from subpot import (
     AtomicMeasure,
     DegenerateInstanceError,
     DeltaSubharmonicFn,
+    IntervalSet,
     QuadratureSpec,
     SubharmonicPotential,
     SuiteConfig,
+    Weight,
+    delta_from_doc,
     delta_to_doc,
     generate_instance,
+    lemma4_check,
+    main_theorem_T,
     rng_for,
     rows_to_csv,
     run_check,
@@ -100,10 +106,10 @@ def test_checker_error_is_recorded_as_a_failure(monkeypatch):
     spec = harness.CHECKERS["lemma3"]
     bad = generate_instance("lemma3", rng_for(SMALL.seed, "lemma3", 1)[0], SMALL).base_doc
 
-    def call(doc, cache, **kw):
+    def call(doc, quad):
         if doc == bad:
             raise DegenerateInstanceError("planted")
-        return spec.call(doc, cache, **kw)
+        return spec.call(doc, quad)
 
     clean = run_suite(SMALL)
     monkeypatch.setitem(harness.CHECKERS, "lemma3", dataclasses.replace(spec, call=call))
@@ -151,12 +157,19 @@ def test_canonical_json_handles_nonfinite():
     assert json.loads(text)["d"] == [1.0, {"z": 2}]
 
 
-def test_config_doc_round_trip():
-    cfg = SuiteConfig(seed=99, instances=5, checkers=("lemma3",), p_values=(2.0, math.inf),
-                      quad_rel_tol=1e-7)
-    back = SuiteConfig.from_doc(cfg.to_doc())
-    assert back == cfg
-    assert back.quad_override().rel_tol == 1e-7
+def test_config_from_doc():
+    doc = {
+        "seed": 99, "instances": 5, "checkers": ["lemma3"], "k_values": [1.5, 3],
+        "p_values": [2, "inf"], "b_values": [0.25], "atom_count_range": [2, 4],
+        "radius_range": [0.2, 3], "quad_rel_tol": 1e-7, "quad_abs_tol": None, "jobs": 2,
+    }
+    cfg = SuiteConfig.from_doc(doc)
+    assert cfg == SuiteConfig(
+        seed=99, instances=5, checkers=("lemma3",), k_values=(1.5, 3.0), p_values=(2.0, math.inf),
+        b_values=(0.25,), atom_count_range=(2, 4), radius_range=(0.2, 3.0), quad_rel_tol=1e-7, jobs=2,
+    )
+    assert cfg.quad_override().rel_tol == 1e-7
+    assert SuiteConfig.from_doc({}) == SuiteConfig()
     assert SuiteConfig().quad_override() is None
 
 
@@ -292,6 +305,7 @@ def test_check_file_replay_reuses_the_integral_across_p(tmp_path, capsys, monkey
         return original(*args, **kwargs)
 
     monkeypatch.setattr(inequalities, "integrate_weighted", counting)
+    inequalities._maxima_integral.cache_clear()
     assert cli_main(["check", "main_theorem_T", "--fn", str(saved)]) == 0
     assert capsys.readouterr().out == generated
     assert len(json.loads(saved.read_text())) == combo_count("main_theorem_T", SuiteConfig())
@@ -300,7 +314,7 @@ def test_check_file_replay_reuses_the_integral_across_p(tmp_path, capsys, monkey
 
 def test_quadrature_override_reaches_the_maxima_integral():
     # The U^+ circle maxima of -ln|z - 1/2| spike at t = 1/2 inside E, so
-    # the lhs integral depends on the tolerance.  One cache serves all calls.
+    # the lhs integral depends on the tolerance.  One memo serves all calls.
     u = DeltaSubharmonicFn(
         plus=SubharmonicPotential(), minus=SubharmonicPotential(AtomicMeasure.from_pairs([(0.5, 1.0)]))
     )
@@ -313,11 +327,72 @@ def test_quadrature_override_reaches_the_maxima_integral():
         "r0": 0.25,
         "k": 2.0,
     }
-    cache: dict = {}
-    default = run_check("main_theorem_T", doc, cache=cache)
-    loose = run_check("main_theorem_T", doc, quad=QuadratureSpec(rel_tol=1e-3), cache=cache)
+    default = run_check("main_theorem_T", doc)
+    loose = run_check("main_theorem_T", doc, quad=QuadratureSpec(rel_tol=1e-3))
     assert loose.lhs != default.lhs
-    assert run_check("main_theorem_T", doc, cache=cache).lhs == default.lhs
+    assert run_check("main_theorem_T", doc).lhs == default.lhs
+
+
+@pytest.mark.parametrize(
+    "name,binding", [("main_theorem_T", "integrate_weighted"), ("nevanlinna_ratio", "integrate")]
+)
+def test_run_unit_integrates_the_maxima_once_per_unit(name, binding, monkeypatch):
+    calls = []
+    original = getattr(inequalities, binding)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inequalities, binding, counting)
+    inequalities._maxima_integral.cache_clear()
+    inequalities._nevanlinna_lhs.cache_clear()
+    cfg = SuiteConfig()
+    rows, failures = run_unit(name, 0, cfg)
+    assert failures == [] and len(rows) == combo_count(name, cfg) > 1
+    assert len(calls) == 1
+
+
+# --- instance fingerprint -------------------------------------------------------
+
+def _first_doc(name, cfg=SMALL):
+    inst = generate_instance(name, rng_for(cfg.seed, name, 0)[0], cfg)
+    return {**inst.base_doc, **inst.combos[0]} if inst.combos else inst.base_doc
+
+
+@pytest.mark.parametrize("name", ["lemma2", "pjp_identity"])
+def test_run_check_fingerprint_hashes_the_canonical_document(name):
+    doc = _first_doc(name)
+    rows, _ = run_unit(name, 0, SMALL)
+    fingerprint = run_check(name, doc).instance_fingerprint
+    assert fingerprint == json.loads(rows[0]["params_json"])["fingerprint"]
+    assert fingerprint == hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
+
+
+def test_direct_checker_call_matches_run_check():
+    cfg = SuiteConfig(seed=5)
+    doc = _first_doc("main_theorem_T", cfg)
+    weight = Weight.from_doc({"pieces": doc["g_pieces"], "p": doc["p"]})
+    e = IntervalSet.from_pairs(doc["e"])
+    direct = main_theorem_T(delta_from_doc(doc["u"]), e, weight, doc["r"], doc["r0"], doc["k"])
+    via = run_check("main_theorem_T", doc)
+    assert (direct.lhs, direct.rhs, direct.error_estimate) == (via.lhs, via.rhs, via.error_estimate)
+    assert direct.instance_fingerprint == "" and via.instance_fingerprint != ""
+
+    doc = _first_doc("lemma4", cfg)
+    direct = lemma4_check(IntervalSet.from_pairs(doc["e"]), doc["x"], doc["r"], doc["R"], doc["q"])
+    via = run_check("lemma4", doc)
+    assert (direct.lhs, direct.rhs, direct.error_estimate) == (via.lhs, via.rhs, via.error_estimate)
+
+
+def test_cli_check_quadrature_failure_exits_two(tmp_path, capsys):
+    # The t^(-1.5) profile overflows next to 0, so quadrature meets a non-finite sample.
+    doc = {"a": 1.0, "e": [[-0.5, 0.5]], "profile": {"family": "power", "kappa": 1.5, "beta": 1.0}}
+    fn = tmp_path / "instance.json"
+    fn.write_text(json.dumps(doc))
+    assert cli_main(["check", "lemma_a", "--fn", str(fn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_summary_max_a_comes_from_rows_that_report_a_min():

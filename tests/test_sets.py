@@ -186,7 +186,7 @@ def test_weight_doc_round_trip():
 
 def test_interval_set_operations():
     e = IntervalSet.from_pairs([(0, 1), (2, 4)])
-    assert e.pieces == 2
+    assert len(e.intervals) == 2
     assert e.intersect(0.5, 3.0).intervals == ((0.5, 1.0), (2.0, 3.0))
     assert e.shifted(1.0).intervals == ((1.0, 2.0), (3.0, 5.0))
     assert e.lower == 0.0 and e.upper == 4.0
