@@ -2,10 +2,11 @@
 
 Circle means of the potentials themselves have exact closed forms
 (``mean of ln|z - a| over |z| = r`` is ``ln max(r, |a|)``); everything
-nonlinear is numerical.  Circle maxima refine each peak of a dense angular
-grid by golden section; means of the plus, minus and abs parts use
+nonlinear is numerical.  Circle maxima and minima polish each peak of one
+dense angular grid by safeguarded Newton on the profile's closed-form
+angular derivatives; means of the plus, minus and abs parts use
 singularity-aware quadrature split at nearby atoms' angles and at the
-profile's sign changes, found by bisection (both searches live in
+profile's sign changes, found by the same Newton routine (it lives in
 :mod:`subpot.search`).  One table holds the pointwise transforms.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -27,7 +29,7 @@ from .model import (
     ln_abs,
 )
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
-from .search import bisect, golden_max, grid_peaks, sign_changes
+from .search import grid_peaks, newton_crossing, sign_changes
 
 FunctionLike = Union[SubharmonicPotential, DeltaSubharmonicFn]
 
@@ -91,27 +93,53 @@ class CircleSampler:
                 out = out - np.sum(np.log(np.abs(z[..., None] - self._mc)) * self._mm, axis=-1)
         return out
 
+    def jet(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Profile value and its first two angular derivatives at ``t * e^{is}``.
 
-def _circle_extreme(sampler: CircleSampler, ts: np.ndarray, maximize: bool) -> np.ndarray:
-    """Grid scan plus local golden refinement of the profile extremum."""
-    ts = np.asarray(ts, float)
+        With ``w = z - a_j``, atom ``j`` adds ``+-m_j`` times ``ln|w|``,
+        ``-Im(z/w)`` and ``Re(z a_j / w**2)``.
+        """
+        centers, signed = self._signed_atoms
+        z = (np.asarray(t, float) * np.exp(1j * np.asarray(s, float)))[..., None]
+        w = z - centers
+        # An atom on the point gives an infinite value and NaN derivatives.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zw = z / w
+            p = self._c0 + np.sum(np.log(np.abs(w)) * signed, axis=-1)
+            dp = -np.sum(zw.imag * signed, axis=-1)
+            d2p = np.sum((zw * centers / w).real * signed, axis=-1)
+        return p, dp, d2p
+
+    @cached_property
+    def _signed_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """All centers and their masses, negated for the minus component (only :meth:`jet` needs them)."""
+        return np.concatenate([self._pc, self._mc]), np.concatenate([self._pm, -self._mm])
+
+
+def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Profile maxima (sign 1) and minima (sign -1): one row per sign, one column per radius.
+
+    Each extreme is the maximum of ``sign * profile``.  One angular grid
+    pass serves every sign.  Each grid peak is polished by safeguarded
+    Newton inside its two neighbouring cells, the peaks of all signs and
+    radii as one set of lanes, so an extreme never falls short of its grid
+    value.
+    """
     s_grid = np.linspace(0.0, _TWO_PI, _CIRCLE_GRID, endpoint=False)
-    vals = sampler.profile(ts[:, None], s_grid[None, :])
-    if not maximize:
-        vals = -vals
-    best = vals.max(axis=1)
-    rows, cols = grid_peaks(vals, periodic=True)
     step = _TWO_PI / _CIRCLE_GRID
-    t_lane = ts[rows]
+    vals = signs[:, None, None] * sampler.profile(ts[:, None], s_grid[None, :])
+    best = vals.max(axis=2)
+    k, rows, cols = grid_peaks(vals, periodic=True)
+    lane_sign, lane_t = signs[k], ts[rows]
 
-    def lane_profile(s: np.ndarray) -> np.ndarray:
-        p = sampler.profile(t_lane, s)
-        return p if maximize else -p
+    def lane_jet(s: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sign = lane_sign[lanes]
+        p, dp, d2p = sampler.jet(lane_t[lanes], s)
+        return sign * p, sign * dp, sign * d2p
 
-    refined = golden_max(lane_profile, s_grid[cols] - step, s_grid[cols] + step)
-    refined = np.where(np.isnan(refined), -np.inf, refined)
-    np.maximum.at(best, rows, refined)
-    return best if maximize else -best
+    _, refined = newton_crossing(lane_jet, s_grid[cols] - step, s_grid[cols] + step, s_grid[cols])
+    np.maximum.at(best, (k, rows), refined)
+    return signs[:, None] * best
 
 
 def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") -> np.ndarray:
@@ -130,15 +158,16 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
 
     # The profile's maximum matters unless the transform flips the sign; its
     # minimum matters when the transform sends negative values upward.
-    extremes: list[np.ndarray] = []
+    signs: list[float] = []
     up_moduli: list[np.ndarray] = []
     if transform != "minus":
-        extremes.append(wrap(_circle_extreme(sampler, ts, maximize=True)))
+        signs.append(1.0)
         up_moduli.append(u.minus.charge.moduli)
     if transform in ("minus", "abs"):
-        extremes.append(wrap(_circle_extreme(sampler, ts, maximize=False)))
+        signs.append(-1.0)
         up_moduli.append(u.plus.charge.moduli)
-    return np.where(np.isin(ts, np.concatenate(up_moduli)), np.inf, np.maximum.reduce(extremes))
+    sup = wrap(_circle_extremes(sampler, ts, np.array(signs))).max(axis=0)
+    return np.where(np.isin(ts, np.concatenate(up_moduli)), np.inf, sup)
 
 
 def max_on_circle(v: FunctionLike, r: float, transform: str = "id") -> CharacteristicValue:
@@ -177,7 +206,16 @@ def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
     vals = sampler.profile(np.full(_CIRCLE_GRID, r), s_grid)
     idx = sign_changes(vals)
     lo = s_grid[idx]
-    roots = bisect(lambda s: sampler.profile(np.full(s.shape, r), s), lo, lo + _TWO_PI / _CIRCLE_GRID, vals[idx])
+    hi = lo + _TWO_PI / _CIRCLE_GRID
+    sign = np.sign(vals[idx])
+
+    # sign(p(lo)) * p crosses zero downward in each cell.
+    def lane_jet(s: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        p, dp, _ = sampler.jet(np.full(s.shape, r), s)
+        g = sign[lanes] * p
+        return g, g, sign[lanes] * dp
+
+    roots, _ = newton_crossing(lane_jet, lo, hi, 0.5 * (lo + hi))
     return list(s_grid[np.nonzero(vals == 0.0)[0]]) + roots.tolist()
 
 

@@ -503,6 +503,8 @@ def _profile_fn(doc: dict, a: float) -> Callable[[np.ndarray], np.ndarray]:
 
         return log_profile
     if family == "power":
+        if not kappa < 1.0:
+            raise ValueError(f"power profile needs kappa < 1 to be integrable at 0, got {kappa!r}")
 
         def power_profile(t: np.ndarray) -> np.ndarray:
             t = np.asarray(t, float)

@@ -1,8 +1,11 @@
-"""Vectorised 1-D searches: grid bracketing, golden section and bisection.
+"""Vectorised 1-D searches: grid bracketing, safeguarded Newton and golden section.
 
 Every extremum and root the package looks for is bracketed on a grid
 first and then refined here, all lanes at once.  ``f`` always takes an
 array of abscissae, one per lane, and returns the matching values.
+Circle extrema and circle roots have closed-form derivatives and share
+:func:`newton_crossing`; the kernel-norm sup has none and uses
+:func:`golden_max`.
 """
 
 from __future__ import annotations
@@ -13,11 +16,16 @@ from typing import Callable
 import numpy as np
 
 _GOLDEN_ITERS = 60
-_BISECT_ITERS = 60
+# Newton from inside a grid cell needs three or four evaluations; the cap
+# only bounds lanes that bisect all the way down.
+_NEWTON_ITERS = 60
+# A lane stops once Newton predicts a gain of at most this much, relative.
+_NEWTON_GAIN = 1e-16
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 LaneFn = Callable[[np.ndarray], np.ndarray]
+JetFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def grid_peaks(vals: np.ndarray, periodic: bool) -> tuple[np.ndarray, ...]:
@@ -63,18 +71,48 @@ def golden_max(f: LaneFn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(yc, yd)
 
 
-def bisect(f: LaneFn, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
-    """Bisection for a root of ``f`` in each lane's ``[lo, hi]``, given ``flo = f(lo)``.
+def newton_crossing(f: JetFn, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Safeguarded Newton for a downward zero crossing of ``g`` in each lane's ``[lo, hi]``, from ``x``.
 
-    Each bracket must hold a sign change; returns the final midpoints.
+    ``f(x, lanes)`` returns ``(v, g, dg)`` at ``x`` for the lanes numbered
+    ``lanes`` (lanes drop out as they stop): a value ``v``, the function
+    ``g`` whose crossing is sought and its derivative ``dg``.  For a
+    maximum, ``g = v'``; for a root of ``h``, ``v = g = sign(h(lo)) * h``.
+
+    Each evaluation at ``x`` moves one bracket end to ``x``: ``lo`` where
+    ``g > 0``, else ``hi``.  The next point is ``x + g/|dg|`` if that lies strictly
+    inside the bracket, else the midpoint.  Where ``dg < 0`` that is
+    Newton's step; where ``dg > 0`` it is the step to the pole of a ``g``
+    shaped like ``1/(c - x)``, as ``v'`` is on the flank of a log spike,
+    where Newton's step would lead away.  A lane stops when ``dg < 0`` and
+    Newton's predicted gain ``g**2 / (2|dg|)`` is at most ``1e-16 * max(1,
+    |v|)`` or its step no longer moves ``x``; when ``g`` is zero or not
+    finite; or when the bracket has no float left inside.  Returns, per
+    lane, the last point moved by its final, unevaluated Newton step (a
+    root) and the largest ``v`` evaluated (a maximum; ``-inf`` if none was
+    a number).
     """
-    if lo.size == 0:
-        return lo
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        take_left = flo * fmid <= 0
-        hi = np.where(take_left, mid, hi)
-        lo = np.where(take_left, lo, mid)
-        flo = np.where(take_left, flo, fmid)
-    return 0.5 * (lo + hi)
+    x = np.array(x, float)
+    lo = np.array(lo, float)
+    hi = np.array(hi, float)
+    best = np.full(x.shape, -np.inf)
+    lane = np.arange(x.size)
+    for _ in range(_NEWTON_ITERS):
+        if lane.size == 0:
+            break
+        xa = x[lane]
+        v, g, dg = f(xa, lane)
+        best[lane] = np.fmax(best[lane], v)
+        up = g > 0
+        lo[lane] = la = np.where(up, xa, lo[lane])
+        hi[lane] = ha = np.where(up, hi[lane], xa)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            trial = xa + g / np.abs(dg)
+            tol = 2.0 * _NEWTON_GAIN * np.maximum(1.0, np.abs(v))
+            done = ~np.isfinite(g * dg) | (g == 0) | ((dg < 0) & ((g * g <= -tol * dg) | (trial == xa)))
+        inside = (trial > la) & (trial < ha)
+        step = np.where(inside, trial, 0.5 * (la + ha))
+        x[lane] = np.where(done, np.where(inside, trial, xa), step)
+        done |= ~((step > la) & (step < ha))
+        lane = lane[~done]
+    return x, best

@@ -22,7 +22,8 @@ from subpot import (
     pjp_identity_check,
     radial_count,
 )
-from subpot.characteristics import CircleSampler
+from subpot.characteristics import _CIRCLE_GRID, CircleSampler
+from subpot.search import golden_max, grid_peaks
 
 # Plus-part circle mean of ln|z-1| on |z|=1, from a scipy.integrate.quad
 # oracle of (1/2pi) int max(ln|e^{is}-1|, 0) ds.
@@ -262,6 +263,68 @@ def test_circle_maxima_match_dense_reference_near_atoms():
             ref, ref_minus = prof.max(), max(-prof.min(), 0.0)
             assert got >= ref - 1e-6 * max(abs(ref), 1.0)
             assert got_minus >= ref_minus - 1e-6 * max(ref_minus, 1.0)
+
+
+def test_jet_matches_profile_and_its_finite_differences():
+    rng = np.random.default_rng(87)
+    h = 1e-4
+    for _ in range(10):
+        sampler = CircleSampler(DeltaSubharmonicFn(plus=_random_potential(rng), minus=_random_potential(rng)))
+        t = rng.uniform(0.05, 5.0, 30)
+        s = rng.uniform(0.0, 2 * math.pi, 30)
+        p, dp, d2p = sampler.jet(t, s)
+        lo, mid, hi = (sampler.profile(t, s + d) for d in (-h, 0.0, h))
+        assert p == pytest.approx(mid, rel=1e-13, abs=1e-13)
+        # Central differences carry an O(h^2) truncation error.
+        scale = 1.0 + np.abs(d2p)
+        assert np.all(np.abs(dp - (hi - lo) / (2 * h)) <= 1e-5 * scale)
+        assert np.all(np.abs(d2p - (hi - 2 * mid + lo) / h**2) <= 1e-3 * scale)
+
+
+def _golden_circle_max(U, ts, sign):
+    """Circle maxima of sign * profile by the grid plus golden-section polish, as a reference."""
+    sampler = CircleSampler(U)
+    s_grid = np.linspace(0.0, 2 * math.pi, _CIRCLE_GRID, endpoint=False)
+    step = 2 * math.pi / _CIRCLE_GRID
+    vals = sign * sampler.profile(ts[:, None], s_grid[None, :])
+    best = vals.max(axis=1)
+    rows, cols = grid_peaks(vals, periodic=True)
+    refined = golden_max(lambda s: sign * sampler.profile(ts[rows], s), s_grid[cols] - step, s_grid[cols] + step)
+    np.maximum.at(best, rows, refined)
+    return sign * best
+
+
+def test_circle_maxima_agree_with_golden_section_away_from_atoms():
+    # On circles at least 1e-3 (relative) from every atom the Newton polish
+    # and a golden-section polish of the same grid brackets agree to 1e-12.
+    # Nearer to an atom both are limited by the rounding of z - a.
+    rng = np.random.default_rng(85)
+    checked = 0
+    for _ in range(12):
+        U = canonicalize(
+            DeltaSubharmonicFn(plus=_random_potential(rng), minus=_random_potential(rng))
+        )
+        moduli = np.concatenate([U.plus.charge.moduli, U.minus.charge.moduli])
+        ts = rng.uniform(0.05, 5.0, 40)
+        far = np.all(np.abs(ts[:, None] - moduli) >= 1e-3 * np.maximum(ts[:, None], moduli), axis=1)
+        ts = ts[far]
+        checked += ts.size
+        ref_max = _golden_circle_max(U, ts, 1.0)
+        ref_minus = np.maximum(-_golden_circle_max(U, ts, -1.0), 0.0)
+        for got, ref in ((max_on_circles(U, ts, "id"), ref_max), (max_on_circles(U, ts, "minus"), ref_minus)):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+    assert checked > 300
+
+
+def test_abs_maxima_share_the_grid_exactly():
+    # One grid pass serves both extremes, so "abs" is exactly the larger of
+    # the "id" maximum's size and the "minus" maximum.
+    rng = np.random.default_rng(86)
+    for _ in range(10):
+        U = DeltaSubharmonicFn(plus=_random_potential(rng), minus=_random_potential(rng))
+        ts = rng.uniform(0.05, 5.0, 25)
+        both = max_on_circles(U, ts, "abs")
+        assert np.array_equal(both, np.maximum(np.abs(max_on_circles(U, ts, "id")), max_on_circles(U, ts, "minus")))
 
 
 def test_nevanlinna_reciprocal_outside_unit_disc():

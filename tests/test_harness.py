@@ -385,14 +385,27 @@ def test_direct_checker_call_matches_run_check():
     assert (direct.lhs, direct.rhs, direct.error_estimate) == (via.lhs, via.rhs, via.error_estimate)
 
 
+def _power_doc(kappa):
+    return {"a": 1.0, "e": [[-0.5, 0.5]], "profile": {"family": "power", "kappa": kappa, "beta": 1.0}}
+
+
 def test_cli_check_quadrature_failure_exits_two(tmp_path, capsys):
-    # The t^(-1.5) profile overflows next to 0, so quadrature meets a non-finite sample.
-    doc = {"a": 1.0, "e": [[-0.5, 0.5]], "profile": {"family": "power", "kappa": 1.5, "beta": 1.0}}
+    # t^(-0.99) is integrable at 0 but overflows next to it, so quadrature
+    # meets a non-finite sample.
     fn = tmp_path / "instance.json"
-    fn.write_text(json.dumps(doc))
+    fn.write_text(json.dumps(_power_doc(0.99)))
     assert cli_main(["check", "lemma_a", "--fn", str(fn)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.5, math.nan])
+def test_cli_check_rejects_a_power_profile_not_integrable_at_zero(kappa, tmp_path, capsys):
+    fn = tmp_path / "instance.json"
+    fn.write_text(json.dumps(_power_doc(kappa)))
+    assert cli_main(["check", "lemma_a", "--fn", str(fn)]) == 3
+    err = capsys.readouterr().err
+    assert "kappa < 1" in err and "Traceback" not in err
 
 
 def test_summary_max_a_comes_from_rows_that_report_a_min():
