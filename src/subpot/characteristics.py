@@ -2,19 +2,18 @@
 
 Circle means of the potentials themselves have exact closed forms
 (``mean of ln|z - a| over |z| = r`` is ``ln max(r, |a|)``); everything
-nonlinear is numerical.  Circle maxima and minima polish each peak of one
-dense angular grid by safeguarded Newton on the profile's closed-form
-angular derivatives; means of the plus, minus and abs parts use
-singularity-aware quadrature split at nearby atoms' angles and at the
-profile's sign changes, found by the same Newton routine (it lives in
-:mod:`subpot.search`).  One table holds the pointwise transforms.
+nonlinear samples one real kernel, :class:`CircleSampler`.  Circle maxima
+and minima polish each peak of one dense angular grid by safeguarded
+Newton on the profile's closed-form angular derivatives; means of the
+plus, minus and abs parts use singularity-aware quadrature split at
+nearby atoms' angles and at the profile's sign changes, found by the same
+Newton routine (in :mod:`subpot.search`).  One table holds the transforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -72,48 +71,54 @@ def as_delta(v: FunctionLike) -> DeltaSubharmonicFn:
 
 
 class CircleSampler:
-    """Vectorized profile values of a canonical difference at ``t * e^{is}``."""
+    """Profile values of a canonical difference at ``t * e^{is}``, from one real kernel.
+
+    With ``x + iy = t e^{is}``, atom ``a`` of signed mass ``m`` (negative on
+    the minus component) adds ``m ln D / 2``, ``D = (x - Re a)**2 + (y - Im a)**2``.
+    Atoms lie on the leading axis, so ``sum(axis=0)`` adds them one after another.
+    """
 
     def __init__(self, u: DeltaSubharmonicFn):
-        u = canonicalize(u)
-        self.u = u
-        self._pc = u.plus.charge.centers
-        self._pm = u.plus.charge.masses
-        self._mc = u.minus.charge.centers
-        self._mm = u.minus.charge.masses
+        self.u = u = canonicalize(u)
+        centers = np.concatenate([u.plus.charge.centers, u.minus.charge.centers])
+        half_masses = 0.5 * np.concatenate([u.plus.charge.masses, -u.minus.charge.masses])
+        self._atoms = np.array([centers.real, centers.imag, half_masses])
         self._c0 = u.plus.const - u.minus.const
 
+    def _offsets(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Points ``x, y``, offsets ``x - Re a, y - Im a`` and the atom columns ``Re a, Im a, m/2``."""
+        t, s = np.asarray(t, float), np.asarray(s, float)
+        x, y = t * np.cos(s), t * np.sin(s)
+        re, im, h = self._atoms.reshape((3, -1) + (1,) * x.ndim)
+        return x, y, x - re, y - im, re, im, h
+
+    def _log_sum(self, d: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``c0 + sum h ln D``, overwriting ``D``; ``D = 0`` gives -inf (plus atom) or +inf (minus atom)."""
+        np.log(d, out=d)
+        d *= h
+        return self._c0 + d.sum(axis=0)
+
     def profile(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        z = np.asarray(t, float) * np.exp(1j * np.asarray(s, float))
-        out = np.full(np.broadcast(np.asarray(t), np.asarray(s)).shape, self._c0, dtype=float)
+        _, _, dx, dy, _, _, h = self._offsets(t, s)
+        dx *= dx
+        dx += np.multiply(dy, dy, out=dy)
         with np.errstate(divide="ignore"):
-            if self._pc.size:
-                out = out + np.sum(np.log(np.abs(z[..., None] - self._pc)) * self._pm, axis=-1)
-            if self._mc.size:
-                out = out - np.sum(np.log(np.abs(z[..., None] - self._mc)) * self._mm, axis=-1)
-        return out
+            return self._log_sum(dx, h)
 
     def jet(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Profile value and its first two angular derivatives at ``t * e^{is}``.
 
-        With ``w = z - a_j``, atom ``j`` adds ``+-m_j`` times ``ln|w|``,
-        ``-Im(z/w)`` and ``Re(z a_j / w**2)``.
+        With ``N' + iN = z conj(a)`` and ``q = 2N/D``, atom ``a`` adds ``m q/2``
+        and ``m (2N'/D - q**2)/2`` (NaN on the atom); ``N`` comes from the
+        offsets, so it stays accurate beside the atom.
         """
-        centers, signed = self._signed_atoms
-        z = (np.asarray(t, float) * np.exp(1j * np.asarray(s, float)))[..., None]
-        w = z - centers
-        # An atom on the point gives an infinite value and NaN derivatives.
+        x, y, dx, dy, re, im, h = self._offsets(t, s)
+        d = dx * dx + dy * dy
         with np.errstate(divide="ignore", invalid="ignore"):
-            zw = z / w
-            p = self._c0 + np.sum(np.log(np.abs(w)) * signed, axis=-1)
-            dp = -np.sum(zw.imag * signed, axis=-1)
-            d2p = np.sum((zw * centers / w).real * signed, axis=-1)
-        return p, dp, d2p
-
-    @cached_property
-    def _signed_atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """All centers and their masses, negated for the minus component (only :meth:`jet` needs them)."""
-        return np.concatenate([self._pc, self._mc]), np.concatenate([self._pm, -self._mm])
+            q = 2.0 * (dy * re - dx * im) / d
+            dp = (q * h).sum(axis=0)
+            d2p = ((2.0 * (x * re + y * im) / d - q * q) * h).sum(axis=0)
+            return self._log_sum(d, h), dp, d2p
 
 
 def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -150,8 +155,7 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
     plus-component atoms for "minus", both for "abs").
     """
     wrap = _transform_fn(transform)
-    u = canonicalize(as_delta(v))
-    sampler = CircleSampler(u)
+    sampler = CircleSampler(as_delta(v))
     ts = np.asarray(ts, float)
     if np.any(ts < 0):
         raise ValueError("radii must be nonnegative")
@@ -162,10 +166,10 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
     up_moduli: list[np.ndarray] = []
     if transform != "minus":
         signs.append(1.0)
-        up_moduli.append(u.minus.charge.moduli)
+        up_moduli.append(sampler.u.minus.charge.moduli)
     if transform in ("minus", "abs"):
         signs.append(-1.0)
-        up_moduli.append(u.plus.charge.moduli)
+        up_moduli.append(sampler.u.plus.charge.moduli)
     sup = wrap(_circle_extremes(sampler, ts, np.array(signs))).max(axis=0)
     return np.where(np.isin(ts, np.concatenate(up_moduli)), np.inf, sup)
 
@@ -175,7 +179,7 @@ def max_on_circle(v: FunctionLike, r: float, transform: str = "id") -> Character
     if r < 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and nonnegative")
     if r == 0.0:
-        val = float(_transform_fn(transform)(evaluate(canonicalize(as_delta(v)), 0.0)))
+        val = float(_transform_fn(transform)(evaluate(as_delta(v), 0.0)))
         return CharacteristicValue(val, 0.0, "closed_form")
     val = float(max_on_circles(v, np.array([r]), transform)[0])
     return CharacteristicValue(val, 0.0, "grid_max")
@@ -203,7 +207,7 @@ def _spike_angles(u: DeltaSubharmonicFn, r: float) -> list[float]:
 
 def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
     s_grid = np.linspace(0.0, _TWO_PI, _CIRCLE_GRID, endpoint=False)
-    vals = sampler.profile(np.full(_CIRCLE_GRID, r), s_grid)
+    vals = sampler.profile(r, s_grid)
     idx = sign_changes(vals)
     lo = s_grid[idx]
     hi = lo + _TWO_PI / _CIRCLE_GRID
@@ -211,7 +215,7 @@ def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
 
     # sign(p(lo)) * p crosses zero downward in each cell.
     def lane_jet(s: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        p, dp, _ = sampler.jet(np.full(s.shape, r), s)
+        p, dp, _ = sampler.jet(r, s)
         g = sign[lanes] * p
         return g, g, sign[lanes] * dp
 
@@ -226,14 +230,13 @@ def _quad_mean(
     wrap = _transform_fn(transform)
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
-    u = canonicalize(as_delta(v))
-    sampler = CircleSampler(u)
-    hints = _spike_angles(u, r)
+    sampler = CircleSampler(as_delta(v))
+    hints = _spike_angles(sampler.u, r)
     if transform != "id":
         hints = hints + _kink_angles(sampler, r)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return wrap(sampler.profile(np.full(s.shape, r), s))
+        return wrap(sampler.profile(r, s))
 
     val, err = integrate(integrand, 0.0, _TWO_PI, spec=quad, hints=hints)
     return val / _TWO_PI, err / _TWO_PI

@@ -3,9 +3,11 @@
 Each checker evaluates both sides of one proved inequality (or identity)
 on a concrete instance and returns a :class:`BoundReport`.  Left-hand
 sides involving circle maxima go through singularity-hinted quadrature of
-the grid-refined maxima; right-hand sides combine closed forms, circle
-means and norms.  ``holds()`` compares the sides with a margin built from
-the accumulated quadrature error estimates.
+the grid-refined maxima; the Nevanlinna integral first subtracts the log
+spike of every pole circle and adds it back in closed form.  Right-hand
+sides combine closed forms, circle means and norms.  ``holds()`` compares
+the sides with a margin built from the accumulated quadrature error
+estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc as _gammaincc
-from scipy.special import lambertw
+from scipy.special import lambertw, xlogy
 
 from .characteristics import (
     as_delta,
@@ -423,14 +425,24 @@ def main_theorem_M(
 
 @lru_cache(maxsize=1)
 def _nevanlinna_lhs(f: RationalFunctionSpec, r: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """Integral over [0, r] of the circle maxima of ln+|f|, memoised on its arguments."""
+    """Integral over [0, r] of the circle maxima of ln+|f|, memoised on its arguments.
+
+    Near the modulus ``rho <= r`` of a pole of multiplicity ``m`` the maxima
+    grow like ``-m ln|t - rho|``.  Quadrature runs on the maxima plus
+    ``m ln|t - rho|`` for each such pole, and those terms come back in closed
+    form: ``int_0^r ln|t - rho| dt = (r - rho) ln(r - rho) + rho ln rho - r``.
+    """
     u = ln_abs(f)
+    spikes = [(abs(c), m) for c, m in f.poles.atoms if abs(c) <= r]
 
     def h(ts: np.ndarray) -> np.ndarray:
-        return max_on_circles(u, ts, transform="plus")
+        out = max_on_circles(u, ts, transform="plus")
+        for rho, m in spikes:
+            out += m * np.log(np.abs(ts - rho))
+        return out
 
-    hints = [float(x) for x in f.poles.moduli if x <= r]
-    return integrate(h, 0.0, r, spec=spec, hints=hints + [0.0])
+    val, err = integrate(h, 0.0, r, spec=spec, hints=[rho for rho, _ in spikes] + [0.0])
+    return val - sum(m * (xlogy(r - rho, r - rho) + xlogy(rho, rho) - r) for rho, m in spikes), err
 
 
 def nevanlinna_ratio(

@@ -281,6 +281,77 @@ def test_jet_matches_profile_and_its_finite_differences():
         assert np.all(np.abs(d2p - (hi - 2 * mid + lo) / h**2) <= 1e-3 * scale)
 
 
+def _reference_jet(U, z):
+    """Value and angular derivatives at points ``z``, summed atom by atom in complex arithmetic."""
+    z = np.asarray(z, complex)
+    p = np.full(z.shape, U.plus.const - U.minus.const)
+    dp = np.zeros(z.shape)
+    d2p = np.zeros(z.shape)
+    for sign, charge in ((1.0, U.plus.charge), (-1.0, U.minus.charge)):
+        for a, m in charge.atoms:
+            w = z - a
+            p += sign * m * np.log(np.abs(w))
+            dp -= sign * m * (z / w).imag
+            d2p += sign * m * (z * a / w**2).real
+    return p, dp, d2p
+
+
+def _assert_kernel_matches(sampler, t, s, rel=1e-12):
+    z = np.asarray(t, float) * np.exp(1j * np.asarray(s, float))
+    ref = _reference_jet(sampler.u, z)
+    got = sampler.jet(t, s)
+    prof = sampler.profile(t, s)
+    assert prof.shape == z.shape
+    assert np.array_equal(got[0], prof)
+    for g, r in zip(got, ref):
+        assert g.shape == z.shape
+        assert np.all(np.abs(g - r) <= rel * np.maximum(np.abs(r), 1.0))
+
+
+def test_kernel_broadcasts_point_shapes():
+    rng = np.random.default_rng(88)
+    sampler = CircleSampler(DeltaSubharmonicFn(plus=_random_potential(rng), minus=_random_potential(rng)))
+    _assert_kernel_matches(sampler, rng.uniform(0.05, 5.0, (7, 1)), rng.uniform(0.0, 2 * math.pi, (1, 33)))
+    _assert_kernel_matches(sampler, 1.7, rng.uniform(0.0, 2 * math.pi, 40))
+    _assert_kernel_matches(sampler, rng.uniform(0.05, 5.0, (4, 9)), rng.uniform(0.0, 2 * math.pi, (4, 9)))
+
+
+def test_kernel_with_many_atoms_per_component():
+    # Past 8 terms numpy sums a contiguous axis pairwise, in blocks; the
+    # kernel reduces over the leading atom axis, one atom after another.
+    rng = np.random.default_rng(89)
+    for n in (9, 14):
+        U = DeltaSubharmonicFn(
+            plus=_potential([(complex(c), 0.5) for c in rng.normal(size=n) + 1j * rng.normal(size=n)], 0.3),
+            minus=_potential([(complex(c), 0.7) for c in rng.normal(size=n) + 1j * rng.normal(size=n)], -0.2),
+        )
+        sampler = CircleSampler(U)
+        assert sampler.u.plus.charge.masses.size == n and sampler.u.minus.charge.masses.size == n
+        _assert_kernel_matches(sampler, rng.uniform(0.05, 3.0, (5, 1)), rng.uniform(0.0, 2 * math.pi, (1, 64)))
+
+
+def test_kernel_without_atoms_is_the_constant():
+    sampler = CircleSampler(_delta([], [], plus_const=1.25, minus_const=0.5))
+    t, s = np.array([[0.0], [1.0], [3.0]]), np.linspace(0.0, 2 * math.pi, 5)[None, :]
+    p, dp, d2p = sampler.jet(t, s)
+    assert np.array_equal(sampler.profile(t, s), np.full((3, 5), 0.75))
+    assert np.array_equal(p, np.full((3, 5), 0.75))
+    assert np.array_equal(dp, np.zeros((3, 5))) and np.array_equal(d2p, np.zeros((3, 5)))
+
+
+def test_kernel_atom_on_the_point():
+    t, s = 1.3, 0.7
+    a = complex(t * math.cos(s), t * math.sin(s))
+    for plus, minus, value in (([(a, 1.0)], [(2.0, 0.5)], -math.inf), ([(2.0, 0.5)], [(a, 1.0)], math.inf)):
+        sampler = CircleSampler(_delta(plus, minus))
+        ts, ss = np.array([t, 0.4]), np.array([s, 2.0])
+        p, dp, d2p = sampler.jet(ts, ss)
+        assert p[0] == value and sampler.profile(ts, ss)[0] == value
+        # Non-finite derivatives stop a Newton lane.
+        assert not np.isfinite(dp[0]) and not np.isfinite(d2p[0])
+        assert np.all(np.isfinite([p[1], dp[1], d2p[1]]))
+
+
 def _golden_circle_max(U, ts, sign):
     """Circle maxima of sign * profile by the grid plus golden-section polish, as a reference."""
     sampler = CircleSampler(U)

@@ -27,7 +27,10 @@ from subpot import (
     pjp_identity_check,
     small_intervals_ratio,
 )
-from subpot.inequalities import _minimal_small_set_constant, _sup_log_kernel_norm
+from subpot.characteristics import max_on_circles
+from subpot.inequalities import LHS_QUAD, _minimal_small_set_constant, _nevanlinna_lhs, _sup_log_kernel_norm
+from subpot.model import ln_abs
+from subpot.quadrature import QuadratureSpec, integrate
 
 LN2 = math.log(2.0)
 
@@ -403,6 +406,28 @@ def test_growth_ratio_probe_entire_function():
     assert rep.lhs == pytest.approx((2.0 * LN2 - 1.0) / 2.0, rel=1e-6)
     assert rep.rhs == pytest.approx(math.log(4.0), rel=1e-9)
     assert rep.ratio < 1.0
+
+
+def test_growth_ratio_spike_subtraction_matches_a_tight_reference():
+    # Poles at the origin, inside (0, r] (two sharing one modulus, one on
+    # |z| = r) and beyond r.  The subtracted integral must lie within its
+    # own error estimate of the plain maxima integral at a tight tolerance.
+    r = 1.2
+    f = RationalFunctionSpec(
+        zeros=AtomicMeasure.from_pairs([(0.9 + 0.4j, 1.0), (-0.2 - 0.7j, 2.0)]),
+        poles=AtomicMeasure.from_pairs(
+            [(0j, 1.0), (0.3 + 0.2j, 2.0), (0.5, 1.0), (0.5j, 2.0), (-r, 1.0), (2.5 - 1.0j, 3.0)]
+        ),
+        scale=1.7,
+    )
+    val, err = _nevanlinna_lhs(f, r, LHS_QUAD)
+    u = ln_abs(f)
+    hints = [float(x) for x in f.poles.moduli if x <= r] + [0.0]
+    ref, ref_err = integrate(
+        lambda ts: max_on_circles(u, ts, "plus"), 0.0, r, spec=QuadratureSpec(rel_tol=1e-11), hints=hints
+    )
+    assert ref_err < 1e-3 * err
+    assert abs(val - ref) <= err
 
 
 def test_small_intervals_probe_closed_instance():
