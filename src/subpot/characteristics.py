@@ -8,12 +8,19 @@ Newton on the profile's closed-form angular derivatives; means of the
 plus, minus and abs parts use singularity-aware quadrature split at
 nearby atoms' angles and at the profile's sign changes, found by the same
 Newton routine (in :mod:`subpot.search`).  One table holds the transforms.
+
+Three pure functions repeat inside one checker unit, so each has a memo
+keyed on every argument and bounded by one unit's need: ``_sampler(v)``
+(2 entries: at most two functions), ``max_on_circle(v, r, transform)``
+(3: one per ``k`` or ``b``) and ``_quad_mean(v, r, transform, quad)``
+(4: ``r0`` and three ``k r``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -34,6 +41,9 @@ FunctionLike = Union[SubharmonicPotential, DeltaSubharmonicFn]
 
 _TWO_PI = 2.0 * math.pi
 _CIRCLE_GRID = 1024
+# One shared angular grid, read-only so no caller can change another's.
+_S_GRID = np.linspace(0.0, _TWO_PI, _CIRCLE_GRID, endpoint=False)
+_S_GRID.flags.writeable = False
 # Atoms this close to the circle (relative) get an angular hint.
 _SPIKE_REL = 0.05
 
@@ -121,6 +131,11 @@ class CircleSampler:
             return self._log_sum(d, h), dp, d2p
 
 
+@lru_cache(maxsize=2)
+def _sampler(v: FunctionLike) -> CircleSampler:
+    return CircleSampler(as_delta(v))
+
+
 def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Profile maxima (sign 1) and minima (sign -1): one row per sign, one column per radius.
 
@@ -130,9 +145,8 @@ def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) 
     radii as one set of lanes, so an extreme never falls short of its grid
     value.
     """
-    s_grid = np.linspace(0.0, _TWO_PI, _CIRCLE_GRID, endpoint=False)
     step = _TWO_PI / _CIRCLE_GRID
-    vals = signs[:, None, None] * sampler.profile(ts[:, None], s_grid[None, :])
+    vals = signs[:, None, None] * sampler.profile(ts[:, None], _S_GRID[None, :])
     best = vals.max(axis=2)
     k, rows, cols = grid_peaks(vals, periodic=True)
     lane_sign, lane_t = signs[k], ts[rows]
@@ -142,7 +156,8 @@ def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) 
         p, dp, d2p = sampler.jet(lane_t[lanes], s)
         return sign * p, sign * dp, sign * d2p
 
-    _, refined = newton_crossing(lane_jet, s_grid[cols] - step, s_grid[cols] + step, s_grid[cols])
+    s0 = _S_GRID[cols]
+    _, refined = newton_crossing(lane_jet, s0 - step, s0 + step, s0)
     np.maximum.at(best, (k, rows), refined)
     return signs[:, None] * best
 
@@ -155,7 +170,7 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
     plus-component atoms for "minus", both for "abs").
     """
     wrap = _transform_fn(transform)
-    sampler = CircleSampler(as_delta(v))
+    sampler = _sampler(v)
     ts = np.asarray(ts, float)
     if np.any(ts < 0):
         raise ValueError("radii must be nonnegative")
@@ -174,6 +189,7 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
     return np.where(np.isin(ts, np.concatenate(up_moduli)), np.inf, sup)
 
 
+@lru_cache(maxsize=3)
 def max_on_circle(v: FunctionLike, r: float, transform: str = "id") -> CharacteristicValue:
     """Supremum of ``transform(v)`` on the circle of radius ``r`` (center value at r=0)."""
     if r < 0 or not math.isfinite(r):
@@ -206,10 +222,9 @@ def _spike_angles(u: DeltaSubharmonicFn, r: float) -> list[float]:
 
 
 def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
-    s_grid = np.linspace(0.0, _TWO_PI, _CIRCLE_GRID, endpoint=False)
-    vals = sampler.profile(r, s_grid)
+    vals = sampler.profile(r, _S_GRID)
     idx = sign_changes(vals)
-    lo = s_grid[idx]
+    lo = _S_GRID[idx]
     hi = lo + _TWO_PI / _CIRCLE_GRID
     sign = np.sign(vals[idx])
 
@@ -220,9 +235,10 @@ def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
         return g, g, sign[lanes] * dp
 
     roots, _ = newton_crossing(lane_jet, lo, hi, 0.5 * (lo + hi))
-    return list(s_grid[np.nonzero(vals == 0.0)[0]]) + roots.tolist()
+    return list(_S_GRID[np.nonzero(vals == 0.0)[0]]) + roots.tolist()
 
 
+@lru_cache(maxsize=4)
 def _quad_mean(
     v: FunctionLike, r: float, transform: str, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> tuple[float, float]:
@@ -230,7 +246,7 @@ def _quad_mean(
     wrap = _transform_fn(transform)
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
-    sampler = CircleSampler(as_delta(v))
+    sampler = _sampler(v)
     hints = _spike_angles(sampler.u, r)
     if transform != "id":
         hints = hints + _kink_angles(sampler, r)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -80,7 +81,9 @@ class IntervalSet:
 
 # --- weights --------------------------------------------------------------
 
-def _poly_extrema(coeffs: Sequence[float], a: float, b: float) -> tuple[float, float]:
+# A unit rebuilds its weight (up to 3 pieces) per combo and takes sups on at most 12 piece-set overlaps.
+@lru_cache(maxsize=16)
+def _poly_extrema(coeffs: tuple[float, ...], a: float, b: float) -> tuple[float, float]:
     """(min, max) of the polynomial on [a, b] via critical points."""
     c = np.asarray(coeffs, float)
     candidates = [a, b]

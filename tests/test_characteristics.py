@@ -22,7 +22,9 @@ from subpot import (
     pjp_identity_check,
     radial_count,
 )
-from subpot.characteristics import _CIRCLE_GRID, CircleSampler
+from subpot.characteristics import _CIRCLE_GRID, CircleSampler, _quad_mean
+from subpot.inequalities import MEAN_QUAD
+from subpot.quadrature import QuadratureSpec
 from subpot.search import golden_max, grid_peaks
 
 # Plus-part circle mean of ln|z-1| on |z|=1, from a scipy.integrate.quad
@@ -120,6 +122,23 @@ def test_abs_mean_decomposition():
     assert plus.value == pytest.approx(PLUS_MEAN_UNIT, rel=1e-6)
     assert absmean.value == pytest.approx(2.0 * PLUS_MEAN_UNIT, rel=1e-6)
     assert absmean.value == pytest.approx(plus.value + minus.value, rel=1e-7)
+
+
+def test_mean_memo_keys_on_the_quadrature_spec():
+    # Two specs on one (function, radius, transform): each call gets its own
+    # spec's (value, err), computed cold, never the other spec's entry.
+    U = _delta([(1.0, 1.0), (-0.5j, 2.0)], [(0.3, 1.5)], plus_const=0.2)
+    loose = QuadratureSpec(rel_tol=1e-3)
+    cold = {}
+    for spec in (MEAN_QUAD, loose):
+        _quad_mean.cache_clear()
+        cold[spec] = _quad_mean(U, 1.2, "plus", spec)
+    assert cold[MEAN_QUAD] != cold[loose]
+    _quad_mean.cache_clear()
+    for spec in (MEAN_QUAD, loose, MEAN_QUAD, loose):
+        mean = circle_mean_nonlinear(U, "plus", 1.2, spec)
+        assert (mean.value, mean.error_estimate) == cold[spec]
+    assert _quad_mean.cache_info().hits == 2
 
 
 def test_radial_count_examples():

@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import subpot.characteristics as characteristics
 import subpot.harness as harness
 import subpot.inequalities as inequalities
+import subpot.sets as sets
 from subpot import (
     ALL_CHECKERS,
     PROBE_CHECKERS,
@@ -333,24 +335,54 @@ def test_quadrature_override_reaches_the_maxima_integral():
     assert run_check("main_theorem_T", doc).lhs == default.lhs
 
 
-@pytest.mark.parametrize(
-    "name,binding", [("main_theorem_T", "integrate_weighted"), ("nevanlinna_ratio", "integrate")]
-)
-def test_run_unit_integrates_the_maxima_once_per_unit(name, binding, monkeypatch):
+def _clear_memos():
+    for module in (characteristics, inequalities, sets):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _unit_calls(name, module, binding, monkeypatch):
+    """Calls of ``module.binding`` over one default unit, every memo cold."""
     calls = []
-    original = getattr(inequalities, binding)
+    original = getattr(module, binding)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(inequalities, binding, counting)
-    inequalities._maxima_integral.cache_clear()
-    inequalities._nevanlinna_lhs.cache_clear()
+    monkeypatch.setattr(module, binding, counting)
+    _clear_memos()
     cfg = SuiteConfig()
     rows, failures = run_unit(name, 0, cfg)
-    assert failures == [] and len(rows) == combo_count(name, cfg) > 1
-    assert len(calls) == 1
+    assert failures == [] and len(rows) == combo_count(name, cfg) > len(calls)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "name,binding", [("main_theorem_T", "integrate_weighted"), ("nevanlinna_ratio", "integrate")]
+)
+def test_run_unit_integrates_the_maxima_once_per_unit(name, binding, monkeypatch):
+    assert _unit_calls(name, inequalities, binding, monkeypatch) == 1
+
+
+def test_run_unit_computes_each_circle_characteristic_once(monkeypatch):
+    # The means at r0 and at each k*r; the single-radius maxima at each k*r.
+    k_count = len(SuiteConfig().k_values)
+    assert _unit_calls("main_theorem_T", characteristics, "integrate", monkeypatch) == 1 + k_count
+    assert _unit_calls("main_theorem_M", characteristics, "max_on_circles", monkeypatch) == k_count
+
+
+@pytest.mark.parametrize(
+    "name", ["lemma1", "main_lemma", "main_theorem_T", "main_theorem_M", "nevanlinna_ratio", "small_intervals_ratio"]
+)
+def test_warm_memos_give_the_cold_rows(name):
+    cfg = SuiteConfig()
+    _clear_memos()
+    cold_rows, cold_failures = run_unit(name, 0, cfg)
+    warm_rows, warm_failures = run_unit(name, 0, cfg)
+    assert rows_to_csv(warm_rows) == rows_to_csv(cold_rows)
+    assert warm_failures == cold_failures == []
 
 
 # --- instance fingerprint -------------------------------------------------------
