@@ -85,7 +85,10 @@ class CircleSampler:
 
     With ``x + iy = t e^{is}``, atom ``a`` of signed mass ``m`` (negative on
     the minus component) adds ``m ln D / 2``, ``D = (x - Re a)**2 + (y - Im a)**2``.
-    Atoms lie on the leading axis, so ``sum(axis=0)`` adds them one after another.
+    Atoms lie on the leading axis, so for a batch of points ``sum(axis=0)``
+    adds them one after another.  For a single point numpy sums 8 or more
+    atoms pairwise instead, so the last bits may differ from the same point
+    inside a batch.
     """
 
     def __init__(self, u: DeltaSubharmonicFn):

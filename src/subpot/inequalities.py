@@ -42,7 +42,7 @@ from .model import (
     ln_abs,
 )
 from .quadrature import QuadratureSpec, integrate
-from .search import golden_max, grid_peaks
+from .search import grid_peaks, newton_crossing
 from .sets import IntervalSet, Weight, integrate_weighted, lp_norm, rearranged_majorant
 
 # Circle-max integrands are expensive; their integrals feed a ratio with
@@ -157,6 +157,21 @@ def _log_kernel_primitive(y: np.ndarray, R: float, q: float) -> np.ndarray:
     return 2 * R * _gammaincc(q + 1.0, s) * _gamma_fn(q + 1.0)
 
 
+def _log_kernel_power_integral(e: IntervalSet, xs: np.ndarray, R: float, q: float) -> np.ndarray:
+    """``F(x)``, the integral of ln^q(2R/|t - x|) over ``t`` in ``E``, at each ``x``.
+
+    With P the primitive, the integral over [alpha, beta] is
+    P(beta - x) - P(alpha - x) extended oddly to negative distances.
+    """
+    total = np.zeros(xs.shape)
+    for alpha, beta in e.intervals:
+        total = total + (
+            np.sign(beta - xs) * _log_kernel_primitive(np.abs(beta - xs), R, q)
+            - np.sign(alpha - xs) * _log_kernel_primitive(np.abs(alpha - xs), R, q)
+        )
+    return total
+
+
 def log_kernel_norm(
     e: IntervalSet,
     x: float | np.ndarray,
@@ -172,16 +187,8 @@ def log_kernel_norm(
     _require(q >= 1, "need q >= 1")
     _require(R > 0, "need R > 0")
     if method == "closed_form":
-        # With P the primitive, the integral over [alpha, beta] is
-        # P(beta - x) - P(alpha - x) extended oddly to negative distances.
         xs = np.asarray(x, float)
-        total = np.zeros(xs.shape)
-        for alpha, beta in e.intervals:
-            total = total + (
-                np.sign(beta - xs) * _log_kernel_primitive(np.abs(beta - xs), R, q)
-                - np.sign(alpha - xs) * _log_kernel_primitive(np.abs(alpha - xs), R, q)
-            )
-        norm = total ** (1.0 / q)
+        norm = _log_kernel_power_integral(e, xs, R, q) ** (1.0 / q)
         return (norm if xs.ndim else float(norm)), 0.0
     if method == "quadrature":
         # Integrate in distance coordinates y = |t - x|: floats stay dense
@@ -219,13 +226,29 @@ def log_kernel_norm(
 
 
 def _sup_log_kernel_norm(e: IntervalSet, R: float, q: float) -> float:
-    """sup over x in [0, R] of the closed-form kernel norm (grid + refinement)."""
+    """sup over x in [0, R] of the closed-form kernel norm ``F(x) ** (1/q)``.
+
+    ``F`` is maximised on a grid, and every grid peak is polished by
+    safeguarded Newton on ``F' = sum k(alpha - x) - k(beta - x)`` and
+    ``F'' = sum h(alpha - x) - h(beta - x)`` over the intervals of ``E``,
+    with ``k(u) = ln^q(2R/|u|)`` and ``h(u) = -k'(u) = q ln^(q-1)(2R/|u|) / u``.
+    On an interval end ``F'`` is infinite, which stops a lane.
+    """
     xs = np.linspace(0.0, R, _SUP_GRID)
-    vals = log_kernel_norm(e, xs, R, q)[0]
+    vals = _log_kernel_power_integral(e, xs, R, q)
     (peaks,) = grid_peaks(vals, periodic=False)
     step = R / (_SUP_GRID - 1)
-    refined = golden_max(lambda x: log_kernel_norm(e, x, R, q)[0], xs[peaks] - step, xs[peaks] + step)
-    return float(max(vals.max(), refined.max(initial=-np.inf)))
+    ends = np.array(e.intervals).reshape(-1, 2, 1)
+
+    def lane_jet(x: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        u = ends - x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln = np.log(2 * R / np.abs(u))
+            k, h = ln**q, q * ln ** (q - 1.0) / u
+        return _log_kernel_power_integral(e, x, R, q), (k[:, 0] - k[:, 1]).sum(0), (h[:, 0] - h[:, 1]).sum(0)
+
+    _, refined = newton_crossing(lane_jet, xs[peaks] - step, xs[peaks] + step, xs[peaks])
+    return float(max(vals.max(), refined.max(initial=-np.inf)) ** (1.0 / q))
 
 
 def lemma4_check(

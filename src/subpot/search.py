@@ -1,30 +1,23 @@
-"""Vectorised 1-D searches: grid bracketing, safeguarded Newton and golden section.
+"""Vectorised 1-D searches: grid bracket scans and safeguarded Newton.
 
 Every extremum and root the package looks for is bracketed on a grid
-first and then refined here, all lanes at once.  ``f`` always takes an
-array of abscissae, one per lane, and returns the matching values.
-Circle extrema and circle roots have closed-form derivatives and share
-:func:`newton_crossing`; the kernel-norm sup has none and uses
-:func:`golden_max`.
+(:func:`grid_peaks`, :func:`sign_changes`) and then refined by
+:func:`newton_crossing`, all lanes at once, on closed-form derivatives:
+circle extrema, circle roots and the kernel-norm sup.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-_GOLDEN_ITERS = 60
 # Newton from inside a grid cell needs three or four evaluations; the cap
 # only bounds lanes that bisect all the way down.
 _NEWTON_ITERS = 60
 # A lane stops once Newton predicts a gain of at most this much, relative.
 _NEWTON_GAIN = 1e-16
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-LaneFn = Callable[[np.ndarray], np.ndarray]
 JetFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -45,30 +38,6 @@ def grid_peaks(vals: np.ndarray, periodic: bool) -> tuple[np.ndarray, ...]:
 def sign_changes(vals: np.ndarray) -> np.ndarray:
     """Indices ``i`` of a periodic 1-D grid with ``v[i]`` and ``v[i+1]`` of strictly opposite sign."""
     return np.nonzero(vals * np.roll(vals, -1) < 0)[0]
-
-
-def golden_max(f: LaneFn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Golden-section search for each lane's maximum on ``[lo, hi]``; returns the values."""
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    if lo.size == 0:
-        return lo
-    h = hi - lo
-    c = lo + _INVPHI2 * h
-    d = lo + _INVPHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(_GOLDEN_ITERS):
-        mask = yc >= yd
-        hi = np.where(mask, d, hi)
-        lo = np.where(mask, lo, c)
-        h = hi - lo
-        c_cand = lo + _INVPHI2 * h
-        d_cand = lo + _INVPHI * h
-        new_y = f(np.where(mask, c_cand, d_cand))
-        c, d = np.where(mask, c_cand, d), np.where(mask, c, d_cand)
-        yc, yd = np.where(mask, new_y, yd), np.where(mask, yc, new_y)
-    return np.maximum(yc, yd)
 
 
 def newton_crossing(f: JetFn, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

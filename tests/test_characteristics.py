@@ -25,7 +25,9 @@ from subpot import (
 from subpot.characteristics import _CIRCLE_GRID, CircleSampler, _quad_mean
 from subpot.inequalities import MEAN_QUAD
 from subpot.quadrature import QuadratureSpec
-from subpot.search import golden_max, grid_peaks
+from subpot.search import grid_peaks
+
+from golden_section import golden_max
 
 # Plus-part circle mean of ln|z-1| on |z|=1, from a scipy.integrate.quad
 # oracle of (1/2pi) int max(ln|e^{is}-1|, 0) ds.
@@ -298,6 +300,24 @@ def test_jet_matches_profile_and_its_finite_differences():
         scale = 1.0 + np.abs(d2p)
         assert np.all(np.abs(dp - (hi - lo) / (2 * h)) <= 1e-5 * scale)
         assert np.all(np.abs(d2p - (hi - 2 * mid + lo) / h**2) <= 1e-3 * scale)
+
+
+def test_kernel_point_alone_matches_batch():
+    # A batch sums the atom axis one atom after another; a single point with
+    # 8 or more atoms goes through numpy's pairwise sum instead, so only the
+    # last bits may differ.
+    rng = np.random.default_rng(88)
+    for n in range(1, 15):
+        centers = rng.uniform(0.1, 4.0, n) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
+        pairs = [(complex(c), float(m)) for c, m in zip(centers, rng.uniform(0.1, 2.0, n))]
+        sampler = CircleSampler(_delta(pairs[: (n + 1) // 2], pairs[(n + 1) // 2 :], 0.3, -0.2))
+        t = rng.uniform(0.05, 5.0, 20)
+        s = rng.uniform(0.0, 2 * math.pi, 20)
+        batch = sampler.jet(t, s)
+        for i in range(t.size):
+            alone = sampler.jet(t[i : i + 1], s[i : i + 1])
+            for b, a in zip(batch, alone):
+                assert abs(a[0] - b[i]) <= 1e-14 * max(1.0, abs(b[i]))
 
 
 def _reference_jet(U, z):

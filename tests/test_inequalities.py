@@ -27,10 +27,14 @@ from subpot import (
     pjp_identity_check,
     small_intervals_ratio,
 )
+from subpot import inequalities
 from subpot.characteristics import max_on_circles
 from subpot.inequalities import LHS_QUAD, _minimal_small_set_constant, _nevanlinna_lhs, _sup_log_kernel_norm
 from subpot.model import ln_abs
 from subpot.quadrature import QuadratureSpec, integrate
+from subpot.search import grid_peaks
+
+from golden_section import golden_max
 
 LN2 = math.log(2.0)
 
@@ -242,6 +246,57 @@ def test_sup_log_kernel_norm_dominates_samples():
         for _ in range(50):
             x = float(rng.uniform(0.0, 2.0))
             assert log_kernel_norm(e, x, 2.0, q)[0] <= sup + 1e-9
+
+
+def _golden_sup_log_kernel_norm(e, R, q):
+    """The kernel-norm sup by the same 256-point grid and a golden-section polish of its peaks."""
+    xs = np.linspace(0.0, R, 256)
+    vals = log_kernel_norm(e, xs, R, q)[0]
+    (peaks,) = grid_peaks(vals, periodic=False)
+    step = R / 255
+    refined = golden_max(lambda x: log_kernel_norm(e, x, R, q)[0], xs[peaks] - step, xs[peaks] + step)
+    return max(vals.max(), refined.max(initial=-np.inf))
+
+
+def test_sup_log_kernel_norm_matches_golden_section_and_dense_grid(monkeypatch):
+    # Sets touching 0 and r < R as in lemma1, with 1 to 6 intervals.
+    rng = np.random.default_rng(617)
+    closed_form = inequalities._log_kernel_power_integral
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return closed_form(*args)
+
+    for k in range(120):
+        n = 1 + k % 6
+        r = float(rng.uniform(0.1, 5.0))
+        R = r / float(rng.uniform(0.2, 0.8))
+        ends = np.concatenate([[0.0], np.sort(rng.uniform(0.0, r, 2 * n - 2)), [r]])
+        e = IntervalSet.from_pairs(ends.reshape(-1, 2))
+        q = 1.0 if k % 5 == 0 else float(rng.uniform(1.0, 4.0))
+        with monkeypatch.context() as m:
+            m.setattr(inequalities, "_log_kernel_power_integral", counted)
+            sup = _sup_log_kernel_norm(e, R, q)
+        ref = _golden_sup_log_kernel_norm(e, R, q)
+        dense = log_kernel_norm(e, np.linspace(0.0, R, 65536), R, q)[0].max()
+        assert abs(sup - ref) <= 1e-12 * ref
+        assert sup >= dense * (1.0 - 1e-14)
+    # One grid pass plus a few Newton steps: a wrong F'' still converges
+    # inside the bracket, but only after many more evaluations.
+    assert len(calls) <= 8 * 120
+
+
+def test_sup_log_kernel_norm_with_an_interval_end_on_a_grid_peak():
+    # F' is infinite at an interval end, so the Newton lane that starts on
+    # that grid node stops at once and the grid value stands.
+    R, q = 2.0, 2.0
+    xs = np.linspace(0.0, R, 256)
+    e = IntervalSet.from_pairs([(0.0, 0.001), (xs[100] - 0.3 * R / 255, xs[100])])
+    grid = log_kernel_norm(e, xs, R, q)[0]
+    assert 100 in grid_peaks(grid, periodic=False)[0]
+    sup = _sup_log_kernel_norm(e, R, q)
+    assert math.isfinite(sup) and sup >= grid.max()
 
 
 # --- rearrangement wrapper --------------------------------------------------

@@ -1,29 +1,11 @@
-"""Grid bracketing, golden section and safeguarded Newton on known extrema and roots."""
+"""Grid bracketing and safeguarded Newton on known extrema and roots."""
 
 import math
 
 import numpy as np
 import pytest
 
-from subpot.search import golden_max, grid_peaks, newton_crossing, sign_changes
-
-
-def test_golden_max_finds_known_maxima_in_every_lane():
-    centers = np.array([0.3, -1.2, 2.5])
-    heights = np.array([1.0, -2.0, 0.5])
-
-    def f(x):
-        return heights - (x - centers) ** 2
-
-    got = golden_max(f, centers - 0.7, centers + 0.4)
-    assert got == pytest.approx(heights, abs=1e-15)
-    assert golden_max(np.cos, np.array([-1.0]), np.array([0.5]))[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_golden_max_at_a_bracket_end_and_on_no_lanes():
-    # A monotone lane converges to its upper end.
-    assert golden_max(lambda x: x, np.array([0.0]), np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-12)
-    assert golden_max(lambda x: x, np.zeros(0), np.zeros(0)).size == 0
+from subpot.search import grid_peaks, newton_crossing, sign_changes
 
 
 def _counted(jet, n):
