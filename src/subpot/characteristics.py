@@ -1,13 +1,15 @@
 """Radial characteristics of atomic-charge potentials.
 
 Circle means of the potentials themselves have exact closed forms
-(``mean of ln|z - a| over |z| = r`` is ``ln max(r, |a|)``); everything
-nonlinear samples one real kernel, :class:`CircleSampler`.  Circle maxima
-and minima polish each peak of one dense angular grid by safeguarded
-Newton on the profile's closed-form angular derivatives; means of the
-plus, minus and abs parts use singularity-aware quadrature split at
-nearby atoms' angles and at the profile's sign changes, found by the same
-Newton routine (in :mod:`subpot.search`).  One table holds the transforms.
+(``mean of ln|z - a| over |z| = r`` is ``ln max(r, |a|)``); at ``r = 0``
+that is the point value ``u(0)``, the one point value the package uses.
+Everything nonlinear samples one real kernel, :class:`CircleSampler`.
+Circle maxima and minima polish each peak of one dense angular grid by
+safeguarded Newton on the profile's closed-form angular derivatives;
+means of the plus, minus and abs parts use singularity-aware quadrature
+split at nearby atoms' angles and at the profile's sign changes, found by
+the same Newton routine (in :mod:`subpot.search`).  One table holds the
+transforms.
 
 Three pure functions repeat inside one checker unit, so each has a memo
 keyed on every argument and bounded by one unit's need: ``_sampler(v)``
@@ -31,7 +33,6 @@ from .model import (
     RationalFunctionSpec,
     SubharmonicPotential,
     canonicalize,
-    evaluate,
     ln_abs,
 )
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
@@ -60,11 +61,10 @@ TRANSFORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 @dataclass(frozen=True)
 class CharacteristicValue:
-    """A computed quantity plus an honest account of how it was obtained."""
+    """A computed quantity and an estimate of its absolute error."""
 
     value: float
     error_estimate: float = 0.0
-    method: str = "closed_form"
 
 
 def _transform_fn(transform: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -194,22 +194,22 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
 
 @lru_cache(maxsize=3)
 def max_on_circle(v: FunctionLike, r: float, transform: str = "id") -> CharacteristicValue:
-    """Supremum of ``transform(v)`` on the circle of radius ``r`` (center value at r=0)."""
+    """Supremum of ``transform(v)`` on the circle of radius ``r``; ``transform(u(0))`` at ``r = 0``."""
     if r < 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and nonnegative")
     if r == 0.0:
-        val = float(_transform_fn(transform)(evaluate(as_delta(v), 0.0)))
-        return CharacteristicValue(val, 0.0, "closed_form")
-    val = float(max_on_circles(v, np.array([r]), transform)[0])
-    return CharacteristicValue(val, 0.0, "grid_max")
+        return CharacteristicValue(float(_transform_fn(transform)(circle_mean(v, 0.0).value)))
+    return CharacteristicValue(float(max_on_circles(v, np.array([r]), transform)[0]))
 
 
 # --- circle means --------------------------------------------------------
 
 def _closed_mean(v: SubharmonicPotential, r: float) -> float:
+    """``const + sum m ln max(r, |a|)``: -inf at ``r = 0`` when an atom sits at the origin."""
     if v.charge.is_empty:
         return v.const
-    return v.const + float(np.sum(v.charge.masses * np.log(np.maximum(r, v.charge.moduli))))
+    with np.errstate(divide="ignore"):
+        return v.const + float(np.sum(v.charge.masses * np.log(np.maximum(r, v.charge.moduli))))
 
 
 def _spike_angles(u: DeltaSubharmonicFn, r: float) -> list[float]:
@@ -262,14 +262,17 @@ def _quad_mean(
 
 
 def circle_mean(v: FunctionLike, r: float) -> CharacteristicValue:
-    """Mean of ``v`` over the circle of radius ``r > 0``, in closed form.
+    """Mean of ``v`` over the circle of radius ``r``, in closed form; ``u(0)`` at ``r = 0``.
 
-    ``circle_mean_nonlinear(v, "id", r)`` is the quadrature route to the same mean.
+    The canonical components share no atom, so at ``r = 0`` a net plus atom
+    at the origin gives -inf and a net minus atom +inf, never -inf - -inf.
+    ``circle_mean_nonlinear(v, "id", r)`` is the quadrature route to the
+    same mean at ``r > 0``.
     """
-    if r <= 0 or not math.isfinite(r):
-        raise ValueError("radius must be finite and positive")
-    u = as_delta(v)
-    return CharacteristicValue(_closed_mean(u.plus, r) - _closed_mean(u.minus, r), 0.0, "closed_form")
+    if r < 0 or not math.isfinite(r):
+        raise ValueError("radius must be finite and nonnegative")
+    u = canonicalize(as_delta(v))
+    return CharacteristicValue(_closed_mean(u.plus, r) - _closed_mean(u.minus, r))
 
 
 def circle_mean_nonlinear(
@@ -277,7 +280,7 @@ def circle_mean_nonlinear(
 ) -> CharacteristicValue:
     """Mean of ``transform(v)`` (plus/minus/abs, or id for cross-checks)."""
     val, err = _quad_mean(v, r, transform, quad)
-    return CharacteristicValue(val, err, "quadrature")
+    return CharacteristicValue(val, err)
 
 
 # --- counting functions --------------------------------------------------
@@ -319,11 +322,11 @@ def characteristic_T(
         raise ValueError("need 0 < r <= R, finite")
     canon = canonicalize(as_delta(u))
     if r == R:
-        return CharacteristicValue(0.0, 0.0, "closed_form")
+        return CharacteristicValue(0.0)
     hi, err_hi = _quad_mean(canon, R, "plus", quad)
     lo, err_lo = _quad_mean(canon, r, "plus", quad)
     n = counting_integral(canon.minus.charge, r, R)
-    return CharacteristicValue(hi - lo + n, err_hi + err_lo, "quadrature")
+    return CharacteristicValue(hi - lo + n, err_hi + err_lo)
 
 
 @dataclass(frozen=True)
@@ -344,7 +347,7 @@ def nevanlinna(
         raise ValueError("radius must be finite and positive")
     u = ln_abs(f)
     mx = max_on_circle(u, r)
-    big_m = CharacteristicValue(math.exp(mx.value) if mx.value != math.inf else math.inf, 0.0, mx.method)
+    big_m = CharacteristicValue(math.exp(mx.value) if mx.value != math.inf else math.inf)
     prox_val, prox_err = _quad_mean(u, r, "plus", quad)
     n0 = f.poles.mass_at(0j)
     n_val = n0 * math.log(r)
@@ -352,7 +355,7 @@ def nevanlinna(
         rho = abs(c)
         if 0.0 < rho <= r:
             n_val += m * math.log(r / rho)
-    prox = CharacteristicValue(prox_val, prox_err, "quadrature")
-    count = CharacteristicValue(n_val, 0.0, "closed_form")
-    total = CharacteristicValue(prox_val + n_val, prox_err, "quadrature")
+    prox = CharacteristicValue(prox_val, prox_err)
+    count = CharacteristicValue(n_val)
+    total = CharacteristicValue(prox_val + n_val, prox_err)
     return NevanlinnaCharacteristics(M=big_m, m=prox, N=count, T=total)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .characteristics import nevanlinna
+from .characteristics import circle_mean, nevanlinna
 from .inequalities import (
     BoundReport,
     lemma1_check,
@@ -77,7 +77,6 @@ class SuiteConfig:
     atom_count_range: tuple[int, int] = (1, 8)
     radius_range: tuple[float, float] = (0.1, 5.0)
     quad_rel_tol: Optional[float] = None
-    quad_abs_tol: Optional[float] = None
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -123,19 +122,12 @@ class SuiteConfig:
             kwargs["radius_range"] = tuple(float(x) for x in doc["radius_range"])
         if doc.get("quad_rel_tol") is not None:
             kwargs["quad_rel_tol"] = float(doc["quad_rel_tol"])
-        if doc.get("quad_abs_tol") is not None:
-            kwargs["quad_abs_tol"] = float(doc["quad_abs_tol"])
         if "jobs" in doc:
             kwargs["jobs"] = int(doc["jobs"])
         return cls(**kwargs)
 
     def quad_override(self) -> Optional[QuadratureSpec]:
-        if self.quad_rel_tol is None and self.quad_abs_tol is None:
-            return None
-        return QuadratureSpec(
-            rel_tol=self.quad_rel_tol if self.quad_rel_tol is not None else 1e-9,
-            abs_tol=self.quad_abs_tol if self.quad_abs_tol is not None else 1e-12,
-        )
+        return None if self.quad_rel_tol is None else QuadratureSpec(rel_tol=self.quad_rel_tol)
 
 
 @dataclass(frozen=True)
@@ -466,7 +458,7 @@ def _gen_small_intervals(rng: np.random.Generator, cfg: SuiteConfig) -> Optional
     # target so a finite constant always exists.
     target = float(rng.uniform(0.1, 1.5))
     bmin = min(bs)
-    baseline = float(np.sum(charge.masses * np.log(np.maximum((1.0 + bmin) * R, charge.moduli))))
+    baseline = circle_mean(SubharmonicPotential(charge), (1.0 + bmin) * R).value
     v = SubharmonicPotential(charge, target - baseline)
     return {
         "v": potential_to_doc(v),
@@ -678,8 +670,8 @@ def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[
         try:
             rep = run_check(name, doc, quad=quad)
         except (QuadratureError, ValueError) as exc:
-            # ValueError covers DegenerateInstanceError and any instance a
-            # checker rejects; one bad combo must not abort the suite.
+            # ValueError covers any instance a checker rejects; one bad
+            # combo must not abort the suite.
             failures.append(
                 {
                     "name": name,

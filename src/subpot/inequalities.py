@@ -38,7 +38,6 @@ from .model import (
     RationalFunctionSpec,
     SubharmonicPotential,
     canonicalize,
-    evaluate,
     ln_abs,
 )
 from .quadrature import QuadratureSpec, integrate
@@ -232,7 +231,7 @@ def _sup_log_kernel_norm(e: IntervalSet, R: float, q: float) -> float:
     safeguarded Newton on ``F' = sum k(alpha - x) - k(beta - x)`` and
     ``F'' = sum h(alpha - x) - h(beta - x)`` over the intervals of ``E``,
     with ``k(u) = ln^q(2R/|u|)`` and ``h(u) = -k'(u) = q ln^(q-1)(2R/|u|) / u``.
-    On an interval end ``F'`` is infinite, which stops a lane.
+    On an interval end ``F'`` is infinite; its sign still moves the bracket.
     """
     xs = np.linspace(0.0, R, _SUP_GRID)
     vals = _log_kernel_power_integral(e, xs, R, q)
@@ -530,14 +529,12 @@ def small_intervals_ratio(
     m_at = max_on_circle(u, (1.0 + b) * R)
     if r0 > 0:
         c_minus = circle_mean_nonlinear(u, "minus", r0, quad or MEAN_QUAD)
-        c_minus_val, c_minus_err = c_minus.value, c_minus.error_estimate
     else:
-        center = evaluate(DeltaSubharmonicFn.from_potential(u), 0.0)
-        c_minus_val, c_minus_err = max(-center, 0.0), 0.0
+        c_minus = max_on_circle(u, 0.0, "minus")
     g_sup = lp_norm(g, e, quad)
     mn = min(m, 3.0 * b * R)
     m_inf = m + (mn * math.log(3.0 * math.e * b * R / mn) if mn > 0 else 0.0)
-    structure = (m_at.value + 2.0 * c_minus_val) * g_sup * m_inf
+    structure = (m_at.value + 2.0 * c_minus.value) * g_sup * m_inf
     a_min = _minimal_small_set_constant(lhs, structure, b)
     params["a_min"] = a_min
     params["m_inf"] = m_inf
@@ -547,7 +544,7 @@ def small_intervals_ratio(
         lhs,
         structure,
         params,
-        lhs_err + 2.0 * c_minus_err * g_sup * m_inf,
+        lhs_err + 2.0 * c_minus.error_estimate * g_sup * m_inf,
         degenerate=degenerate,
     )
 

@@ -4,6 +4,11 @@ A charge is a finite set of weighted point masses in the plane; the
 associated potential is ``const + sum_j m_j * ln|z - a_j|``.  Differences
 of two such potentials are the working model throughout the package, with
 rational functions entering through ``ln|f|``.
+
+This module only holds and serializes the charges.  Values of a potential
+come from :mod:`subpot.characteristics`: on circles from its sampling
+kernel, and as circle means (``u(0)`` among them, the mean at ``r = 0``)
+from their closed form.
 """
 
 from __future__ import annotations
@@ -14,10 +19,6 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
-
-
-class DegenerateInstanceError(ValueError):
-    """Evaluation hit a point where both components are -inf."""
 
 
 def _merge_atoms(pairs: Iterable[tuple[complex, float]]) -> tuple[tuple[complex, float], ...]:
@@ -89,20 +90,6 @@ class SubharmonicPotential:
         if not math.isfinite(self.const):
             raise ValueError("potential constant must be finite")
 
-    def value(self, z: complex) -> float:
-        return float(self.values_on(np.array([complex(z)]))[0])
-
-    def values_on(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; -inf where z hits an atom center."""
-        z = np.asarray(z, dtype=complex)
-        if self.charge.is_empty:
-            return np.full(z.shape, self.const, dtype=float)
-        dist = np.abs(z[..., None] - self.charge.centers)
-        with np.errstate(divide="ignore"):
-            logs = np.log(dist)
-        # Elementwise multiply keeps -inf contributions exact (BLAS dot may not).
-        return self.const + np.sum(logs * self.charge.masses, axis=-1)
-
 
 @dataclass(frozen=True)
 class DeltaSubharmonicFn:
@@ -136,21 +123,6 @@ def canonicalize(u: DeltaSubharmonicFn) -> DeltaSubharmonicFn:
         plus=SubharmonicPotential(AtomicMeasure(plus_atoms), plus_const),
         minus=SubharmonicPotential(AtomicMeasure(minus_atoms), minus_const),
     )
-
-
-def evaluate(u: DeltaSubharmonicFn, z: complex) -> float:
-    """Extended-real value of ``u`` at ``z`` on the canonical representation."""
-    canon = canonicalize(u)
-    pv = canon.plus.value(z)
-    mv = canon.minus.value(z)
-    if pv == -math.inf and mv == -math.inf:
-        # Unreachable for disjoint canonical supports; guards broken inputs.
-        raise DegenerateInstanceError(f"both components are -inf at {z!r}")
-    if pv == -math.inf:
-        return -math.inf
-    if mv == -math.inf:
-        return math.inf
-    return pv - mv
 
 
 @dataclass(frozen=True)

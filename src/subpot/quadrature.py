@@ -129,31 +129,18 @@ def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -
 
 
 def _initial_edges(a: float, b: float, hints: Sequence[float]) -> list[float]:
-    edges = {a, b}
     inner = sorted({float(h) for h in hints if a <= h <= b})
-    edges.update(h for h in inner if a < h < b)
-    base = sorted(edges)
-    # Geometric grading toward every hint (endpoints included when hinted).
+    base = sorted({a, b, *inner})
+    # Geometric grading toward every hint (endpoints included when hinted)
+    # from each neighbouring edge; a side without one adds only h itself.
     graded: set[float] = set(base)
     for h in inner:
-        idx = base.index(h) if h in edges and a < h < b else None
-        if h <= a:
-            left_span = 0.0
-            right_span = base[1] - a if len(base) > 1 else 0.0
-            h = a
-        elif h >= b:
-            left_span = b - base[-2] if len(base) > 1 else 0.0
-            right_span = 0.0
-            h = b
-        else:
-            left_span = h - base[idx - 1]
-            right_span = base[idx + 1] - h
+        i = base.index(h)
+        left = h - base[i - 1] if i > 0 else 0.0
+        right = base[i + 1] - h if i + 1 < len(base) else 0.0
         for j in range(1, _GRADE_LEVELS + 1):
             step = _GRADE_RATIO**j
-            if left_span > 0:
-                graded.add(h - left_span * step)
-            if right_span > 0:
-                graded.add(h + right_span * step)
+            graded.update((h - left * step, h + right * step))
     return sorted(x for x in graded if a <= x <= b)
 
 

@@ -49,17 +49,17 @@ def newton_crossing(f: JetFn, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> 
     maximum, ``g = v'``; for a root of ``h``, ``v = g = sign(h(lo)) * h``.
 
     Each evaluation at ``x`` moves one bracket end to ``x``: ``lo`` where
-    ``g > 0``, else ``hi``.  The next point is ``x + g/|dg|`` if that lies strictly
-    inside the bracket, else the midpoint.  Where ``dg < 0`` that is
-    Newton's step; where ``dg > 0`` it is the step to the pole of a ``g``
-    shaped like ``1/(c - x)``, as ``v'`` is on the flank of a log spike,
-    where Newton's step would lead away.  A lane stops when ``dg < 0`` and
-    Newton's predicted gain ``g**2 / (2|dg|)`` is at most ``1e-16 * max(1,
-    |v|)`` or its step no longer moves ``x``; when ``g`` is zero or not
-    finite; or when the bracket has no float left inside.  Returns, per
-    lane, the last point moved by its final, unevaluated Newton step (a
-    root) and the largest ``v`` evaluated (a maximum; ``-inf`` if none was
-    a number).
+    ``g > 0``, else ``hi``; an infinite ``g`` still tells the side.  The
+    next point is ``x + g/|dg|`` if that lies strictly inside the bracket,
+    else the midpoint.  Where ``dg < 0`` that is Newton's step; where
+    ``dg > 0`` it is the step to the pole of a ``g`` shaped like
+    ``1/(c - x)``, as ``v'`` is on the flank of a log spike, where Newton's
+    step would lead away.  A lane stops when ``g`` is finite, ``dg < 0``
+    and Newton's predicted gain ``g**2 / (2|dg|)`` is at most ``1e-16 *
+    max(1, |v|)`` or its step no longer moves ``x``; when ``g`` is zero or
+    NaN; or when the bracket has no float left inside.  Returns, per lane,
+    the last point moved by its final, unevaluated Newton step (a root) and
+    the largest ``v`` evaluated (a maximum; ``-inf`` if none was a number).
     """
     x = np.array(x, float)
     lo = np.array(lo, float)
@@ -78,7 +78,8 @@ def newton_crossing(f: JetFn, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             trial = xa + g / np.abs(dg)
             tol = 2.0 * _NEWTON_GAIN * np.maximum(1.0, np.abs(v))
-            done = ~np.isfinite(g * dg) | (g == 0) | ((dg < 0) & ((g * g <= -tol * dg) | (trial == xa)))
+            newton_done = np.isfinite(g) & (dg < 0) & ((g * g <= -tol * dg) | (trial == xa))
+            done = np.isnan(g) | (g == 0) | newton_done
         inside = (trial > la) & (trial < ha)
         step = np.where(inside, trial, 0.5 * (la + ha))
         x[lane] = np.where(done, np.where(inside, trial, xa), step)

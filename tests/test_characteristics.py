@@ -86,11 +86,31 @@ def test_circle_mean_origin_atom():
     assert circle_mean(_potential([(0.0, 1.0)]), math.e).value == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "plus_origin, minus_origin, center",
+    [
+        # -2 + ln 2 - (-0.2 + 0.7 ln|-1 + 0.5i|): the origin atoms cancel.
+        (1.0, 1.0, -1.8 + math.log(2.0) - 0.35 * math.log(1.25)),
+        (2.0, 1.0, -math.inf),
+        (1.0, 2.5, math.inf),
+    ],
+    ids=["cancel", "plus_wins", "minus_wins"],
+)
+def test_center_value_is_the_closed_mean_at_zero(plus_origin, minus_origin, center):
+    # Origin atoms on both components of a non-canonical difference.
+    U = _delta([(0.0, plus_origin), (2.0, 1.0)], [(0.0, minus_origin), (complex(-1, 0.5), 0.7)], -2.0, -0.2)
+    mean = circle_mean(U, 0.0)
+    assert mean.value == pytest.approx(center, rel=1e-14) and mean.error_estimate == 0.0
+    expected = {"id": center, "plus": max(center, 0.0), "minus": max(-center, 0.0), "abs": abs(center)}
+    for transform, value in expected.items():
+        assert max_on_circle(U, 0.0, transform).value == pytest.approx(value, rel=1e-14)
+
+
 def test_circle_mean_atom_on_circle_both_routes():
     u = _potential([(1.0, 1.0)])
     closed = circle_mean(u, 1.0)
     assert closed.value == pytest.approx(0.0, abs=1e-14)
-    assert closed.error_estimate == 0.0 and closed.method == "closed_form"
+    assert closed.error_estimate == 0.0
     quad = circle_mean_nonlinear(u, "id", 1.0)
     assert quad.value == pytest.approx(0.0, abs=1e-5)
 

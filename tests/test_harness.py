@@ -18,7 +18,6 @@ from subpot import (
     ALL_CHECKERS,
     PROBE_CHECKERS,
     AtomicMeasure,
-    DegenerateInstanceError,
     DeltaSubharmonicFn,
     IntervalSet,
     QuadratureSpec,
@@ -110,7 +109,7 @@ def test_checker_error_is_recorded_as_a_failure(monkeypatch):
 
     def call(doc, quad):
         if doc == bad:
-            raise DegenerateInstanceError("planted")
+            raise ValueError("planted")
         return spec.call(doc, quad)
 
     clean = run_suite(SMALL)
@@ -163,7 +162,7 @@ def test_config_from_doc():
     doc = {
         "seed": 99, "instances": 5, "checkers": ["lemma3"], "k_values": [1.5, 3],
         "p_values": [2, "inf"], "b_values": [0.25], "atom_count_range": [2, 4],
-        "radius_range": [0.2, 3], "quad_rel_tol": 1e-7, "quad_abs_tol": None, "jobs": 2,
+        "radius_range": [0.2, 3], "quad_rel_tol": 1e-7, "jobs": 2,
     }
     cfg = SuiteConfig.from_doc(doc)
     assert cfg == SuiteConfig(

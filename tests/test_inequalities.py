@@ -288,15 +288,18 @@ def test_sup_log_kernel_norm_matches_golden_section_and_dense_grid(monkeypatch):
 
 
 def test_sup_log_kernel_norm_with_an_interval_end_on_a_grid_peak():
-    # F' is infinite at an interval end, so the Newton lane that starts on
-    # that grid node stops at once and the grid value stands.
+    # F' is infinite at the interval end where the Newton lane starts; its
+    # sign alone must carry the lane to the true peak beside that node.
     R, q = 2.0, 2.0
     xs = np.linspace(0.0, R, 256)
     e = IntervalSet.from_pairs([(0.0, 0.001), (xs[100] - 0.3 * R / 255, xs[100])])
     grid = log_kernel_norm(e, xs, R, q)[0]
     assert 100 in grid_peaks(grid, periodic=False)[0]
     sup = _sup_log_kernel_norm(e, R, q)
-    assert math.isfinite(sup) and sup >= grid.max()
+    ref = _golden_sup_log_kernel_norm(e, R, q)
+    dense = log_kernel_norm(e, np.linspace(0.0, R, 65536), R, q)[0].max()
+    assert abs(sup - ref) <= 1e-12 * ref
+    assert sup >= dense * (1.0 - 1e-14)
 
 
 # --- rearrangement wrapper --------------------------------------------------
@@ -492,6 +495,23 @@ def test_small_intervals_probe_closed_instance():
     assert rep.lhs == pytest.approx(2.0 * LN2 - 1.0, rel=1e-6)
     assert rep.rhs == pytest.approx(2.0 * LN2 * (2.0 + math.log(6.0)), rel=1e-9)
     assert rep.params["a_min"] == pytest.approx(SMALL_SET_A_STAR, abs=1e-9)
+
+
+def test_small_intervals_probe_at_r0_zero_uses_the_center_value():
+    # At r0 = 0 the minus mean is max(-u(0), 0), with
+    # u(0) = -0.2 + ln 0.5 + 0.7 ln|-1 + 0.5i| < 0; the values are pinned.
+    e = IntervalSet.from_pairs([(1.0, 2.0)])
+    g = Weight(pieces=(((1.0, 2.0), (1.0,)),), p=math.inf)
+    u = SubharmonicPotential(AtomicMeasure.from_pairs([(0.5, 1.0), (complex(-1, 0.5), 0.7)]), -0.2)
+    for b, rhs, a_min in ((1.0, 14.765594483083946, 1.0775259758757312), (0.5, 10.680413846075124, 1.0)):
+        rep = small_intervals_ratio(u, e, g, 0.0, 1.0, 2.0, b)
+        assert rep.lhs == pytest.approx(1.1879855822172731, rel=1e-12)
+        assert rep.rhs == pytest.approx(rhs, rel=1e-12)
+        assert rep.params["a_min"] == pytest.approx(a_min, rel=1e-12)
+        assert rep.error_estimate == pytest.approx(1.0772128065970988e-07, rel=1e-6)
+    # An atom at the origin makes u(0) = -inf, so the structure term is +inf.
+    rep = small_intervals_ratio(U_LOG, e, g, 0.0, 1.0, 2.0, 0.5)
+    assert rep.rhs == math.inf and rep.params["a_min"] == 1.0
 
 
 def test_small_intervals_probe_large_set_branch():
