@@ -496,6 +496,9 @@ def _minimal_small_set_constant(lhs: float, structure: float, b: float) -> float
     answer is the root of y ln y = c with y = a/b and c = lhs/structure:
     ln y = W0(c), hence a = b * c / W0(c) with W0 the principal Lambert W.
     """
+    if structure == math.inf and math.isfinite(lhs):
+        # At b = 1 the product below would be 0 * inf; any a holds here.
+        return 1.0
     slack = 1e-12 * (1.0 + abs(lhs))
     if (1.0 / b) * math.log(1.0 / b) * structure >= lhs - slack:
         return 1.0

@@ -28,11 +28,19 @@ def grid_peaks(vals: np.ndarray, periodic: bool) -> tuple[np.ndarray, ...]:
     never peaks.  Comparisons with NaN are false, so neither a NaN nor its
     neighbours are peaks.
     """
+    mask = np.empty(vals.shape, bool)
+    flat, m = vals.reshape(-1), mask.reshape(-1)
     with np.errstate(invalid="ignore"):
-        mask = (vals >= np.roll(vals, 1, axis=-1)) & (vals > np.roll(vals, -1, axis=-1))
-    if not periodic:
-        mask[..., 0] = mask[..., -1] = False
-    return np.nonzero(mask)
+        # Compare flat neighbours, then redo both end columns, whose flat
+        # neighbours lie in the adjacent rows.
+        np.greater_equal(flat[1:], flat[:-1], out=m[1:])
+        m[:-1] &= flat[:-1] > flat[1:]
+        if periodic:
+            mask[..., 0] = (vals[..., 0] >= vals[..., -1]) & (vals[..., 0] > vals[..., 1])
+            mask[..., -1] = (vals[..., -1] >= vals[..., -2]) & (vals[..., -1] > vals[..., 0])
+        else:
+            mask[..., 0] = mask[..., -1] = False
+    return np.unravel_index(np.flatnonzero(mask), mask.shape)
 
 
 def sign_changes(vals: np.ndarray) -> np.ndarray:

@@ -400,6 +400,16 @@ def test_run_check_fingerprint_hashes_the_canonical_document(name):
     assert fingerprint == hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
 
 
+@pytest.mark.parametrize("b", [1.0, 0.5])
+def test_small_intervals_with_an_atom_at_the_centre_gives_a_min_one(b):
+    # u = ln|z| makes u(0) = -inf and the structure term +inf; at b = 1 the
+    # closed form for a_min would have met 0 * inf and a division by W0(0) = 0.
+    doc = _first_doc("small_intervals_ratio", SuiteConfig())
+    doc.update(r0=0.0, b=b, v={"atoms": [{"re": 0.0, "im": 0.0, "mass": 1.0}], "const": 0.0})
+    rep = run_check("small_intervals_ratio", doc)
+    assert rep.rhs == math.inf and rep.params["a_min"] == 1.0
+
+
 def test_direct_checker_call_matches_run_check():
     cfg = SuiteConfig(seed=5)
     doc = _first_doc("main_theorem_T", cfg)

@@ -86,3 +86,69 @@ def test_spec_validation():
 def test_hints_outside_interval_are_ignored():
     val, _ = integrate(np.log, 1.0, math.e, hints=[-5.0, 100.0])
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+# --- the panel's finite check and bit-exact results --------------------------
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonfinite_sample_at_any_node_raises(bad):
+    # The even-index nodes carry no Gauss weight, so the G7 sum never reads them.
+    for node in range(15):
+
+        def f(t):
+            ys = np.ones_like(t)
+            ys[node] = bad
+            return ys
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("result", [np.ones(14), np.ones((15, 1)), 1.0])
+def test_wrong_shaped_integrand_result_raises(result):
+    with pytest.raises(QuadratureError, match="shape"):
+        integrate(lambda t: result, 0.0, 1.0)
+
+
+def test_finite_samples_whose_sum_overflows_do_not_raise():
+    # Every sample is finite; only the weighted sum overflows.  The result
+    # is what the non-finite-sum code path has always returned.
+    with np.errstate(over="ignore"):
+        assert integrate(lambda t: np.full_like(t, 1e308), 0.0, 10.0) == (math.inf, math.inf)
+
+
+def test_integrand_result_arrays_are_left_unchanged():
+    kept = []
+
+    def f(t):
+        ys = np.sqrt(np.abs(t - 0.3))
+        kept.append((ys, ys.copy()))
+        return ys
+
+    integrate(f, 0.0, 1.0)
+    assert len(kept) > 1
+    for ys, snapshot in kept:
+        assert np.array_equal(ys, snapshot)
+
+
+# (value, error_estimate) as float.hex: the panel arithmetic and the order
+# of refinement are pinned bit for bit.
+@pytest.mark.parametrize(
+    "f,a,b,hints,value,err",
+    [
+        (lambda s: np.exp(np.cos(s)), 0.0, 2.0 * math.pi, (), "0x1.fd1d842075548p+2", "0x1.5d79396df801dp-28"),
+        (lambda t: np.log(1.0 / t), 0.0, 1.0, (0.0,), "0x1.fffffffffe42dp-1", "0x1.d7766caa7c296p-31"),
+        (lambda t: np.sqrt(np.abs(t - 0.3)), 0.0, 1.0, (), "0x1.fffc4ae482547p-2", "0x1.1275ba3956528p-31"),
+    ],
+    ids=["smooth", "log_hint", "sqrt_kink"],
+)
+def test_results_are_pinned_bit_for_bit(f, a, b, hints, value, err):
+    assert integrate(f, a, b, hints=hints) == (float.fromhex(value), float.fromhex(err))
+
+
+def test_budget_exhaustion_is_pinned_bit_for_bit():
+    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-15, max_panels=16)
+    with pytest.raises(QuadratureError, match="17 panels") as exc:
+        integrate(lambda t: np.log(1.0 / t), 1e-30, 1.0, spec=spec)
+    assert exc.value.value == float.fromhex("0x1.ffff222350cb1p-1")
+    assert exc.value.error_estimate == float.fromhex("0x1.781331956a774p-9")

@@ -132,6 +132,29 @@ def test_grid_peaks_never_at_or_beside_nan():
     assert idx.tolist() == [1, 6]
 
 
+def _roll_peaks(vals, periodic):
+    with np.errstate(invalid="ignore"):
+        mask = (vals >= np.roll(vals, 1, axis=-1)) & (vals > np.roll(vals, -1, axis=-1))
+    if not periodic:
+        mask[..., 0] = mask[..., -1] = False
+    return np.nonzero(mask)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (40,), (5, 17), (3, 4, 33)])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_grid_peaks_match_the_two_roll_reference(shape, periodic):
+    # Few distinct values make ties and plateaus common; NaNs are sprinkled in.
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        vals = rng.integers(0, 4, size=shape).astype(float)
+        vals[rng.random(shape) < 0.05] = np.nan
+        got = grid_peaks(vals, periodic)
+        want = _roll_peaks(vals, periodic)
+        assert len(got) == len(want) == len(shape)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
 def test_sign_changes_wrap_and_skip_zeros():
     vals = np.array([-1.0, 2.0, 0.0, -3.0, -1.0, 1.0])
     # The zero at index 2 is no strict sign change; 5 -> 0 is, via the wrap.
