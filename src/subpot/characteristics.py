@@ -250,14 +250,12 @@ def _quad_mean(
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
     sampler = _sampler(v)
-    hints = _spike_angles(sampler.u, r)
-    if transform != "id":
-        hints = hints + _kink_angles(sampler, r)
+    kinks = _kink_angles(sampler, r) if transform != "id" else ()
 
     def integrand(s: np.ndarray) -> np.ndarray:
         return wrap(sampler.profile(r, s))
 
-    val, err = integrate(integrand, 0.0, _TWO_PI, spec=quad, hints=hints)
+    val, err = integrate(integrand, 0.0, _TWO_PI, spec=quad, hints=_spike_angles(sampler.u, r), breaks=kinks)
     return val / _TWO_PI, err / _TWO_PI
 
 

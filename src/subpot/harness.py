@@ -489,9 +489,7 @@ def _profile_fn(doc: dict, a: float) -> Callable[[np.ndarray], np.ndarray]:
         beta = float(doc["beta"])
 
         def log_profile(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, float)
-            with np.errstate(divide="ignore"):
-                return np.log(beta * a / t) ** kappa
+            return np.log(beta * a / np.asarray(t, float)) ** kappa
 
         return log_profile
     if family == "power":
@@ -499,9 +497,7 @@ def _profile_fn(doc: dict, a: float) -> Callable[[np.ndarray], np.ndarray]:
             raise ValueError(f"power profile needs kappa < 1 to be integrable at 0, got {kappa!r}")
 
         def power_profile(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, float)
-            with np.errstate(divide="ignore"):
-                return t ** (-kappa)
+            return np.asarray(t, float) ** (-kappa)
 
         return power_profile
     raise ValueError(f"unknown profile family {family!r}")

@@ -134,8 +134,7 @@ def lemma3_check(
     _require(A > 0 and 0 < a <= A / math.e * (1 + 1e-12), "need 0 < a <= A/e")
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(A / x) ** q
+        return np.log(A / x) ** q
 
     lhs, err = integrate(integrand, 0.0, a, spec=quad or NORM_QUAD, hints=[0.0])
     rhs = (1.0 + q ** (q + 1.0)) * a * math.log(A / a) ** q
@@ -463,7 +462,7 @@ def _nevanlinna_lhs(f: RationalFunctionSpec, r: float, spec: QuadratureSpec) -> 
             out += m * np.log(np.abs(ts - rho))
         return out
 
-    val, err = integrate(h, 0.0, r, spec=spec, hints=[rho for rho, _ in spikes] + [0.0])
+    val, err = integrate(h, 0.0, r, spec=spec, hints=[rho for rho, _ in spikes])
     return val - sum(m * (xlogy(r - rho, r - rho) + xlogy(rho, rho) - r) for rho, m in spikes), err
 
 

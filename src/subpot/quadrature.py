@@ -1,11 +1,23 @@
 """Adaptive panel quadrature tolerant of integrable logarithmic singularities.
 
-A fixed 15-point Gauss-Kronrod rule is applied per panel and panels are
-bisected worst-first until the summed error estimate meets the requested
-tolerance.  Known singular abscissae ("hints") become mandatory panel
-boundaries and receive one level of geometric grading, so the open Kronrod
-rule never samples a singular point and the refinement queue starts where
-the integrand is hardest.  Integrands are called with a numpy array of
+A fixed 15-point Gauss-Kronrod rule is applied per panel and the worst
+panel is split until the summed error estimate meets the requested
+tolerance.  Two kinds of known abscissae become mandatory panel edges:
+
+* ``hints`` are integrable singularities.  Each is graded toward a priori
+  (edges at ``_GRADE_RATIO**j`` of the distance to the neighbouring edge),
+  and a worst panel with an end on a hint splits at ``_GRADE_RATIO`` of its
+  width from that end, which continues the geometric grading.
+* ``breaks`` are kinks, where the integrand is smooth on each side.  They
+  are plain edges: no grading, and their panels bisect like any other.
+
+A panel is split only when the outer Kronrod nodes of both children, as
+``_panel_estimate`` computes them, lie strictly inside those children; a
+panel that cannot be split that way is accepted at floating-point
+resolution.  Grading toward a hint stops before the same point.  The open
+rule therefore never samples the end of a panel it makes, and so never a
+hint; only given edges closer than about 120 ulps make a first panel that
+does.  Integrands are called with a numpy array of
 abscissae and must return an array of values, which is only read.
 
 Each panel calls the integrand exactly once, on its 15 abscissae: the
@@ -18,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -76,9 +88,19 @@ _WG = np.array(
 
 # One level of geometric grading toward each hint: panel edges at
 # span * _GRADE_RATIO**j keep the singular panel short without flooding
-# the queue.
+# the queue.  Refinement toward a hint keeps the same ratio.
 _GRADE_RATIO = 0.125
 _GRADE_LEVELS = 6
+_GRADES = tuple(_GRADE_RATIO**j for j in range(1, _GRADE_LEVELS + 1))
+
+# Outermost Kronrod node, as a fraction of the half-width.
+_X_OUTER = float(_XGK[-1])
+# Above this width, relative to |lo| + |hi| (plus an absolute floor below
+# the normal range), every child of a split keeps its nodes far inside:
+# the outer nodes sit 0.0043 of a child's width from its ends, against a
+# few ulps of rounding.
+_SAFE_WIDTH = 1e-11
+_SAFE_FLOOR = 1e-290
 
 
 @dataclass(frozen=True)
@@ -137,20 +159,42 @@ def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -
     return k15, err
 
 
-def _initial_edges(a: float, b: float, hints: Sequence[float]) -> list[float]:
+def _nodes_inside(lo: float, hi: float) -> bool:
+    """Whether the outer Kronrod nodes of ``[lo, hi]`` round strictly inside it."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return lo < mid - half * _X_OUTER and mid + half * _X_OUTER < hi
+
+
+def _resolved_cut(lo: float, cut: float, hi: float) -> float | None:
+    """``cut``, else the midpoint, if both children keep their nodes inside; else None."""
+    for x in (cut, 0.5 * (lo + hi)):
+        if _nodes_inside(lo, x) and _nodes_inside(x, hi):
+            return x
+    return None
+
+
+def _initial_edges(a: float, b: float, hints: Iterable[float], breaks: Iterable[float]) -> list[float]:
     inner = sorted({float(h) for h in hints if a <= h <= b})
-    base = sorted({a, b, *inner})
+    base = sorted({a, b, *inner, *(float(x) for x in breaks if a <= x <= b)})
     # Geometric grading toward every hint (endpoints included when hinted)
     # from each neighbouring edge; a side without one adds only h itself.
+    # Near resolution, grading stops at the first level whose panel on h
+    # would be sampled at h itself.
     graded: set[float] = set(base)
     for h in inner:
         i = base.index(h)
-        left = h - base[i - 1] if i > 0 else 0.0
-        right = base[i + 1] - h if i + 1 < len(base) else 0.0
-        for j in range(1, _GRADE_LEVELS + 1):
-            step = _GRADE_RATIO**j
-            graded.update((h - left * step, h + right * step))
-    return sorted(x for x in graded if a <= x <= b)
+        for far in base[i - 1 : i] + base[i + 1 : i + 2]:
+            d = far - h
+            if abs(d) * _GRADES[-1] > _SAFE_WIDTH * (abs(h) + abs(far)) + _SAFE_FLOOR:
+                graded.update([h + d * step for step in _GRADES])
+                continue
+            for step in _GRADES:
+                x = h + d * step
+                if not _nodes_inside(min(h, x), max(h, x)):
+                    break
+                graded.add(x)
+    return sorted(graded)
 
 
 def integrate(
@@ -159,12 +203,15 @@ def integrate(
     b: float,
     spec: QuadratureSpec = DEFAULT_QUAD,
     hints: Iterable[float] = (),
+    breaks: Iterable[float] = (),
 ) -> tuple[float, float]:
     """Integrate ``f`` over ``[a, b]``; returns ``(value, error_estimate)``.
 
-    ``hints`` marks abscissae of known kinks or integrable singularities.
-    Raises :class:`QuadratureError` when ``spec.max_panels`` is exhausted
-    before the tolerance ``max(abs_tol, rel_tol * |value|)`` is met.
+    ``hints`` marks abscissae of integrable singularities, which are graded
+    and refined toward; ``breaks`` marks kinks, which only become panel
+    edges.  ``f`` runs with numpy's divide-by-zero warning off.  Raises
+    :class:`QuadratureError` when ``spec.max_panels`` is exhausted before the
+    tolerance ``max(abs_tol, rel_tol * |value|)`` is met.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
@@ -173,44 +220,53 @@ def integrate(
     if b == a:
         return 0.0, 0.0
 
-    edges = _initial_edges(a, b, tuple(hints))
+    singular = frozenset(map(float, hints))
+    edges = _initial_edges(a, b, singular, breaks)
 
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        val, err = _panel_estimate(f, lo, hi)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-
-    abs_tol, rel_tol, max_panels = spec.abs_tol, spec.rel_tol, spec.max_panels
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if counter >= max_panels or not heap:
-            raise QuadratureError(
-                f"panel budget exhausted ({counter} panels, err={total_err:.3e})",
-                value=total,
-                error_estimate=total_err,
-            )
-        # The (-err, counter) keys are unique, so the order in which panels
-        # come off the heap does not depend on how the heap is updated.
-        _, _, lo, hi, val, err = heap[0]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Panel is at floating-point resolution; accept its estimate.
-            heapq.heapreplace(heap, (0.0, counter, lo, hi, val, err))
+    with np.errstate(divide="ignore"):
+        heap: list[tuple[float, int, float, float, float, float]] = []
+        counter = 0
+        total = 0.0
+        total_err = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if hi <= lo:
+                continue
+            val, err = _panel_estimate(f, lo, hi)
+            total += val
+            total_err += err
+            heapq.heappush(heap, (-err, counter, lo, hi, val, err))
             counter += 1
-            continue
-        v1, e1 = _panel_estimate(f, lo, mid)
-        v2, e2 = _panel_estimate(f, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heapreplace(heap, (-e1, counter, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
-        counter += 2
+
+        abs_tol, rel_tol, max_panels = spec.abs_tol, spec.rel_tol, spec.max_panels
+        while total_err > max(abs_tol, rel_tol * abs(total)):
+            if counter >= max_panels or not heap:
+                raise QuadratureError(
+                    f"panel budget exhausted ({counter} panels, err={total_err:.3e})",
+                    value=total,
+                    error_estimate=total_err,
+                )
+            # The (-err, counter) keys are unique, so the order in which panels
+            # come off the heap does not depend on how the heap is updated.
+            _, _, lo, hi, val, err = heap[0]
+            if lo in singular:
+                cut = lo + _GRADE_RATIO * (hi - lo)
+            elif hi in singular:
+                cut = hi - _GRADE_RATIO * (hi - lo)
+            else:
+                cut = 0.5 * (lo + hi)
+            if hi - lo <= _SAFE_WIDTH * (abs(lo) + abs(hi)) + _SAFE_FLOOR:
+                cut = _resolved_cut(lo, cut, hi)
+                if cut is None:
+                    # Panel is at floating-point resolution; accept its estimate.
+                    heapq.heapreplace(heap, (0.0, counter, lo, hi, val, err))
+                    counter += 1
+                    continue
+            v1, e1 = _panel_estimate(f, lo, cut)
+            v2, e2 = _panel_estimate(f, cut, hi)
+            total += v1 + v2 - val
+            total_err += e1 + e2 - err
+            heapq.heapreplace(heap, (-e1, counter, lo, cut, v1, e1))
+            heapq.heappush(heap, (-e2, counter + 1, cut, hi, v2, e2))
+            counter += 2
 
     return total, total_err

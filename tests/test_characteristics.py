@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
 from subpot import (
     AtomicMeasure,
@@ -22,9 +23,10 @@ from subpot import (
     pjp_identity_check,
     radial_count,
 )
+import subpot.characteristics as characteristics
 from subpot.characteristics import _CIRCLE_GRID, CircleSampler, _quad_mean
 from subpot.inequalities import MEAN_QUAD
-from subpot.quadrature import QuadratureSpec
+from subpot.quadrature import QuadratureSpec, integrate
 from subpot.search import grid_peaks
 
 from golden_section import golden_max
@@ -144,6 +146,38 @@ def test_abs_mean_decomposition():
     assert plus.value == pytest.approx(PLUS_MEAN_UNIT, rel=1e-6)
     assert absmean.value == pytest.approx(2.0 * PLUS_MEAN_UNIT, rel=1e-6)
     assert absmean.value == pytest.approx(plus.value + minus.value, rel=1e-7)
+
+
+def test_plus_mean_takes_kinks_as_plain_edges(monkeypatch):
+    # The positive part kinks where the profile crosses 0; it is smooth on
+    # each side, so a kink only needs to be a panel edge.
+    U = _delta([(1.0, 1.0), (-0.5j, 2.0)], [(0.3, 1.5)], plus_const=0.2)
+    r = 1.2
+    sampler = characteristics._sampler(U)
+    kinks = characteristics._kink_angles(sampler, r)
+    assert len(kinks) == 2
+
+    def plus(s):
+        return np.maximum(sampler.profile(r, s), 0.0)
+
+    ref, _ = scipy_quad(lambda s: float(plus(np.array([s]))[0]), 0.0, 2 * math.pi, points=kinks, epsabs=1e-14, limit=200)
+    panels = []
+
+    def counting(f, a, b, spec, hints, breaks):
+        def g(s):
+            panels.append(s)
+            return f(s)
+
+        return integrate(g, a, b, spec, hints, breaks)
+
+    monkeypatch.setattr(characteristics, "integrate", counting)
+    _quad_mean.cache_clear()
+    mean = circle_mean_nonlinear(U, "plus", r, MEAN_QUAD)
+    _quad_mean.cache_clear()
+    assert abs(mean.value - ref / (2 * math.pi)) <= mean.error_estimate
+    graded = []
+    integrate(lambda s: graded.append(s) or plus(s), 0.0, 2 * math.pi, MEAN_QUAD, hints=kinks)
+    assert len(panels) == 9 and len(graded) == 29
 
 
 def test_mean_memo_keys_on_the_quadrature_spec():

@@ -384,6 +384,33 @@ def test_warm_memos_give_the_cold_rows(name):
     assert warm_failures == cold_failures == []
 
 
+@pytest.mark.parametrize(
+    "name,index",
+    [
+        ("lemma3", 0),
+        ("lemma3", 1),
+        ("lemma_a", 1),
+        ("lemma_a", 23),
+        ("main_theorem_T", 0),
+        ("main_theorem_M", 9),
+        ("nevanlinna_ratio", 13),
+        ("nevanlinna_ratio", 16),
+    ],
+)
+def test_reported_err_covers_a_tight_reference(name, index):
+    # The reference is the same unit with every integral at rel_tol = 1e-12.
+    # Without the a-priori grading toward singular hints both Nevanlinna
+    # units miss it (by up to 4.9 err).  main_theorem_M 9 refines its
+    # reference down to panels of about 100 ulps on an atom modulus, where a
+    # split whose nodes round onto their ends would sample the modulus.
+    rows, failures = run_unit(name, index, SuiteConfig())
+    refs, ref_failures = run_unit(name, index, SuiteConfig(quad_rel_tol=1e-12))
+    assert failures == ref_failures == [] and len(rows) == len(refs) > 0
+    for row, ref in zip(rows, refs):
+        assert abs(row["lhs"] - ref["lhs"]) <= row["err"]
+        assert abs(row["rhs"] - ref["rhs"]) <= row["err"]
+
+
 # --- instance fingerprint -------------------------------------------------------
 
 def _first_doc(name, cfg=SMALL):

@@ -500,15 +500,17 @@ def test_small_intervals_probe_closed_instance():
 def test_small_intervals_probe_at_r0_zero_uses_the_center_value():
     # At r0 = 0 the minus mean is max(-u(0), 0), with
     # u(0) = -0.2 + ln 0.5 + 0.7 ln|-1 + 0.5i| < 0; the values are pinned.
+    # The lhs at rel_tol = 1e-12 is 1.1879855787875353.
     e = IntervalSet.from_pairs([(1.0, 2.0)])
     g = Weight(pieces=(((1.0, 2.0), (1.0,)),), p=math.inf)
     u = SubharmonicPotential(AtomicMeasure.from_pairs([(0.5, 1.0), (complex(-1, 0.5), 0.7)]), -0.2)
-    for b, rhs, a_min in ((1.0, 14.765594483083946, 1.0775259758757312), (0.5, 10.680413846075124, 1.0)):
+    for b, rhs, a_min in ((1.0, 14.765594483083946, 1.077525975877307), (0.5, 10.680413846075124, 1.0)):
         rep = small_intervals_ratio(u, e, g, 0.0, 1.0, 2.0, b)
-        assert rep.lhs == pytest.approx(1.1879855822172731, rel=1e-12)
+        assert rep.lhs == pytest.approx(1.1879855822422811, rel=1e-12)
         assert rep.rhs == pytest.approx(rhs, rel=1e-12)
         assert rep.params["a_min"] == pytest.approx(a_min, rel=1e-12)
-        assert rep.error_estimate == pytest.approx(1.0772128065970988e-07, rel=1e-6)
+        assert rep.error_estimate == pytest.approx(9.691941179896091e-08, rel=1e-6)
+        assert abs(rep.lhs - 1.1879855787875353) <= rep.error_estimate
     # An atom at the origin makes u(0) = -inf, so the structure term is +inf.
     rep = small_intervals_ratio(U_LOG, e, g, 0.0, 1.0, 2.0, 0.5)
     assert rep.rhs == math.inf and rep.params["a_min"] == 1.0

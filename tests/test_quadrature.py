@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma, gammaincc
 
 from subpot import QuadratureError, QuadratureSpec, integrate
 
@@ -137,7 +138,7 @@ def test_integrand_result_arrays_are_left_unchanged():
     "f,a,b,hints,value,err",
     [
         (lambda s: np.exp(np.cos(s)), 0.0, 2.0 * math.pi, (), "0x1.fd1d842075548p+2", "0x1.5d79396df801dp-28"),
-        (lambda t: np.log(1.0 / t), 0.0, 1.0, (0.0,), "0x1.fffffffffe42dp-1", "0x1.d7766caa7c296p-31"),
+        (lambda t: np.log(1.0 / t), 0.0, 1.0, (0.0,), "0x1.ffffffffff8fcp-1", "0x1.7273bcc091eaap-31"),
         (lambda t: np.sqrt(np.abs(t - 0.3)), 0.0, 1.0, (), "0x1.fffc4ae482547p-2", "0x1.1275ba3956528p-31"),
     ],
     ids=["smooth", "log_hint", "sqrt_kink"],
@@ -146,9 +147,90 @@ def test_results_are_pinned_bit_for_bit(f, a, b, hints, value, err):
     assert integrate(f, a, b, hints=hints) == (float.fromhex(value), float.fromhex(err))
 
 
+def test_log_hint_pin_is_within_its_error_of_the_exact_value():
+    val, err = integrate(lambda t: np.log(1.0 / t), 0.0, 1.0, hints=(0.0,))
+    assert abs(val - 1.0) <= err
+
+
 def test_budget_exhaustion_is_pinned_bit_for_bit():
     spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-15, max_panels=16)
     with pytest.raises(QuadratureError, match="17 panels") as exc:
         integrate(lambda t: np.log(1.0 / t), 1e-30, 1.0, spec=spec)
     assert exc.value.value == float.fromhex("0x1.ffff222350cb1p-1")
     assert exc.value.error_estimate == float.fromhex("0x1.781331956a774p-9")
+
+
+# --- hints (graded singular ends) against breaks (plain edges) --------------
+
+def _counted(f):
+    """``f`` recording the (first, last) abscissa of every panel it samples."""
+    seen = []
+
+    def g(t):
+        seen.append((t[0], t[-1]))
+        return f(t)
+
+    return g, seen
+
+
+def test_breaks_are_plain_edges():
+    # A linear integrand is exact on every panel, so nothing is refined and
+    # the panels are exactly the given edges.
+    breaks = (0.25, 0.6, 0.6, 1.5, -1.0)
+    g, seen = _counted(lambda t: 2.0 * t + 1.0)
+    val, err = integrate(g, 0.0, 1.0, breaks=breaks)
+    assert val == pytest.approx(2.0, rel=1e-14)
+    edges = [0.0, 0.25, 0.6, 1.0]
+    assert len(seen) == len(edges) - 1
+    for (lo, hi), (first, last) in zip(zip(edges, edges[1:]), seen):
+        assert lo < first < last < hi
+        assert first - lo == pytest.approx(hi - last, rel=1e-9)
+        assert first - lo < 0.01 * (hi - lo)
+    # The same abscissae as hints are graded: six levels on each side.
+    g, seen = _counted(lambda t: 2.0 * t + 1.0)
+    integrate(g, 0.0, 1.0, hints=(0.25, 0.6))
+    assert len(seen) == 3 + 4 * 6
+
+
+def test_log_power_refines_toward_the_hinted_end():
+    # int_0^a ln^q(A/x) dx = A * Gamma(q + 1, ln(A/a)), the lemma-3 integral.
+    q, A, a = 2.5, 3.0, 0.7
+    exact = A * gammaincc(q + 1.0, math.log(A / a)) * gamma(q + 1.0)
+    g, seen = _counted(lambda x: np.log(A / x) ** q)
+    val, err = integrate(g, 0.0, a, QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13), hints=[0.0])
+    assert abs(val - exact) <= err
+    # Bisecting the singular panel took 83 panels.
+    assert len(seen) == 59
+
+
+@pytest.mark.parametrize(
+    "f,rel_tol",
+    [
+        (lambda t, rho: -np.log(np.abs(t - rho)), 1e-14),
+        (lambda t, rho: np.abs(t - rho) ** -0.9, 1e-12),
+    ],
+    ids=["log", "power"],
+)
+def test_refinement_never_samples_a_hinted_end(f, rel_tol):
+    # Once a panel is narrower than about 120 ulps its outer nodes round onto
+    # its ends; splitting it further would sample the singular point itself.
+    rho = math.sqrt(1.25)
+    g, seen = _counted(lambda t: f(t, rho))
+    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-300, max_panels=4096)
+    try:
+        val, err = integrate(g, 1.0, 2.0, spec, hints=[rho])
+        assert math.isfinite(val) and math.isfinite(err)
+    except QuadratureError as exc:
+        assert "budget" in str(exc)
+    assert all(first != rho != last for first, last in seen)
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_grading_never_samples_a_hint_next_to_a_close_edge(gap):
+    # The finest graded panels on the short side would be a few ulps wide.
+    rho = math.sqrt(1.25)
+    g, seen = _counted(lambda t: -np.log(np.abs(t - rho)))
+    val, err = integrate(g, rho - gap, 2.0, hints=[rho])
+    exact = (2.0 - rho) * (1.0 - math.log(2.0 - rho)) + gap * (1.0 - math.log(gap))
+    assert abs(val - exact) <= err
+    assert all(first != rho != last for first, last in seen)
