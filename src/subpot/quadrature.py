@@ -179,16 +179,13 @@ def _initial_edges(a: float, b: float, hints: Iterable[float], breaks: Iterable[
     base = sorted({a, b, *inner, *(float(x) for x in breaks if a <= x <= b)})
     # Geometric grading toward every hint (endpoints included when hinted)
     # from each neighbouring edge; a side without one adds only h itself.
-    # Near resolution, grading stops at the first level whose panel on h
-    # would be sampled at h itself.
+    # Grading stops at the first level whose panel on h would be sampled
+    # at h itself, which happens only near floating-point resolution.
     graded: set[float] = set(base)
     for h in inner:
         i = base.index(h)
         for far in base[i - 1 : i] + base[i + 1 : i + 2]:
             d = far - h
-            if abs(d) * _GRADES[-1] > _SAFE_WIDTH * (abs(h) + abs(far)) + _SAFE_FLOOR:
-                graded.update([h + d * step for step in _GRADES])
-                continue
             for step in _GRADES:
                 x = h + d * step
                 if not _nodes_inside(min(h, x), max(h, x)):
