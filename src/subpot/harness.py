@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product, repeat
 from typing import Callable, Iterable, Optional, Sequence
@@ -34,6 +33,7 @@ from .inequalities import (
     main_theorem_T,
     nevanlinna_ratio,
     pjp_identity_check,
+    scipy_special,
     small_intervals_ratio,
 )
 from .model import (
@@ -721,6 +721,11 @@ def _summarize(cfg: SuiteConfig, rows: list[dict], failures: list[dict]) -> list
 def run_suite(cfg: SuiteConfig) -> SuiteResult:
     units = list(product(cfg.checkers, range(cfg.instances)))
     if cfg.jobs > 1 and len(units) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Forked workers inherit the parent's modules: loading scipy.special
+        # here saves each worker importing it again on every suite call.
+        scipy_special()
         # Executor.map yields in submission order, so rows keep unit order.
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(run_unit, *zip(*units), repeat(cfg), chunksize=4))

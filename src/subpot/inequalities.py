@@ -8,6 +8,12 @@ spike of every pole circle and adds it back in closed form.  Right-hand
 sides combine closed forms, circle means and norms.  ``holds()`` compares
 the sides with a margin built from the accumulated quadrature error
 estimates.
+
+``scipy.special`` is imported on first use, through :func:`scipy_special`:
+only ``lemma1``'s kernel-norm sup (the incomplete gamma function) and
+``small_intervals_ratio``'s Lambert W need it, and the import costs about
+as much start-up time as numpy.  ``harness.run_suite`` loads it before its
+process pool forks, so the workers inherit it.
 """
 
 from __future__ import annotations
@@ -18,9 +24,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaincc as _gammaincc
-from scipy.special import lambertw, xlogy
 
 from .characteristics import (
     as_delta,
@@ -53,6 +56,14 @@ MEAN_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
 NORM_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
 
 _SUP_GRID = 256
+
+
+@lru_cache(maxsize=1)
+def scipy_special():
+    """``scipy.special``, imported on the first call (see the module docstring)."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _safe_ratio(lhs: float, rhs: float) -> float:
@@ -152,7 +163,8 @@ def _log_kernel_primitive(y: np.ndarray, R: float, q: float) -> np.ndarray:
     y = np.clip(y, 0.0, 2 * R)
     with np.errstate(divide="ignore"):
         s = np.log(2 * R / y)
-    return 2 * R * _gammaincc(q + 1.0, s) * _gamma_fn(q + 1.0)
+    special = scipy_special()
+    return 2 * R * special.gammaincc(q + 1.0, s) * special.gamma(q + 1.0)
 
 
 def _log_kernel_power_integral(e: IntervalSet, xs: np.ndarray, R: float, q: float) -> np.ndarray:
@@ -171,56 +183,47 @@ def _log_kernel_power_integral(e: IntervalSet, xs: np.ndarray, R: float, q: floa
 
 
 def log_kernel_norm(
-    e: IntervalSet,
-    x: float | np.ndarray,
-    R: float,
-    q: float,
-    method: str = "closed_form",
-    quad: QuadratureSpec = NORM_QUAD,
-) -> tuple[float | np.ndarray, float]:
-    """L^q(E) norm of t -> ln(2R/|t - x|); returns (norm, error_estimate).
+    e: IntervalSet, x: float, R: float, q: float, quad: QuadratureSpec = NORM_QUAD
+) -> tuple[float, float]:
+    """L^q(E) norm of t -> ln(2R/|t - x|) by quadrature; returns (norm, error_estimate).
 
-    The closed form also takes an array ``x`` and returns an array of norms.
+    The closed form ``_log_kernel_power_integral(e, x, R, q) ** (1/q)`` is
+    its oracle in the tests; the kernel-norm sup evaluates that closed form.
     """
     _require(q >= 1, "need q >= 1")
     _require(R > 0, "need R > 0")
-    if method == "closed_form":
-        xs = np.asarray(x, float)
-        norm = _log_kernel_power_integral(e, xs, R, q) ** (1.0 / q)
-        return (norm if xs.ndim else float(norm)), 0.0
-    if method == "quadrature":
-        # Integrate in distance coordinates y = |t - x|: floats stay dense
-        # near y = 0, so bisection can chase the integrable singularity far
-        # below the t-space resolution limit around x itself.
-        def kernel_pow(y: np.ndarray) -> np.ndarray:
-            return np.log(2 * R / y) ** q
 
-        spans: list[tuple[float, float]] = []
-        for alpha, beta in e.intervals:
-            d_a, d_b = abs(x - alpha), abs(x - beta)
-            spans += [(0.0, d_a), (0.0, d_b)] if alpha < x < beta else [(min(d_a, d_b), max(d_a, d_b))]
-        floor = 2 * R * 1e-25
-        total = 0.0
-        err = 0.0
-        for d1, d2 in spans:
-            if d2 > 2 * R:
-                raise ValueError("set reaches beyond kernel range 2R")
+    # Integrate in distance coordinates y = |t - x|: floats stay dense near
+    # y = 0, so bisection can chase the integrable singularity far below the
+    # t-space resolution limit around x itself.
+    def kernel_pow(y: np.ndarray) -> np.ndarray:
+        return np.log(2 * R / y) ** q
+
+    spans: list[tuple[float, float]] = []
+    for alpha, beta in e.intervals:
+        d_a, d_b = abs(x - alpha), abs(x - beta)
+        spans += [(0.0, d_a), (0.0, d_b)] if alpha < x < beta else [(min(d_a, d_b), max(d_a, d_b))]
+    floor = 2 * R * 1e-25
+    total = 0.0
+    err = 0.0
+    for d1, d2 in spans:
+        if d2 > 2 * R:
+            raise ValueError("set reaches beyond kernel range 2R")
+        if d2 <= d1:
+            continue
+        if d1 < floor:
+            # Truncated singular tip, bounded by y * ln^q(2R/y) at the floor.
+            err += floor * math.log(2 * R / floor) ** q
+            d1 = floor
             if d2 <= d1:
                 continue
-            if d1 < floor:
-                # Truncated singular tip, bounded by y * ln^q(2R/y) at the floor.
-                err += floor * math.log(2 * R / floor) ** q
-                d1 = floor
-                if d2 <= d1:
-                    continue
-            val, er = integrate(kernel_pow, d1, d2, spec=quad, hints=[d1])
-            total += val
-            err += er
-        if total <= 0.0:
-            return 0.0, err
-        norm = total ** (1.0 / q)
-        return norm, norm * err / (q * total)
-    raise ValueError(f"unknown method {method!r}")
+        val, er = integrate(kernel_pow, d1, d2, spec=quad, hints=[d1])
+        total += val
+        err += er
+    if total <= 0.0:
+        return 0.0, err
+    norm = total ** (1.0 / q)
+    return norm, norm * err / (q * total)
 
 
 def _sup_log_kernel_norm(e: IntervalSet, R: float, q: float) -> float:
@@ -266,7 +269,7 @@ def lemma4_check(
     params = {"x": x, "r": r, "R": R, "q": q, "mes_E": m}
     if m == 0.0:
         return _report("lemma4", 0.0, 0.0, params, 0.0, degenerate=True)
-    lhs, err = log_kernel_norm(e, x, R, q, method="quadrature", quad=quad or NORM_QUAD)
+    lhs, err = log_kernel_norm(e, x, R, q, quad=quad or NORM_QUAD)
     rhs = 2.0 * q * m ** (1.0 / q) * math.log(4.0 * R / m)
     return _report("lemma4", lhs, rhs, params, err)
 
@@ -463,7 +466,12 @@ def _nevanlinna_lhs(f: RationalFunctionSpec, r: float, spec: QuadratureSpec) -> 
         return out
 
     val, err = integrate(h, 0.0, r, spec=spec, hints=[rho for rho, _ in spikes])
-    return val - sum(m * (xlogy(r - rho, r - rho) + xlogy(rho, rho) - r) for rho, m in spikes), err
+    return val - sum(m * (_xlogx(r - rho) + _xlogx(rho) - r) for rho, m in spikes), err
+
+
+def _xlogx(x: float) -> float:
+    """``x ln x`` for ``x >= 0``, with ``0 ln 0 = 0``."""
+    return x * math.log(x) if x > 0 else 0.0
 
 
 def nevanlinna_ratio(
@@ -504,7 +512,7 @@ def _minimal_small_set_constant(lhs: float, structure: float, b: float) -> float
     if structure <= 0.0:
         return math.inf
     c = lhs / structure
-    return b * c / float(lambertw(c).real) if math.isfinite(c) else math.inf
+    return b * c / float(scipy_special().lambertw(c).real) if math.isfinite(c) else math.inf
 
 
 def small_intervals_ratio(

@@ -6,10 +6,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subpot
 import subpot.characteristics as characteristics
 import subpot.harness as harness
 import subpot.inequalities as inequalities
@@ -485,3 +490,58 @@ def test_summary_max_a_comes_from_rows_that_report_a_min():
     plain, with_a = harness._summarize(cfg, rows, [])
     assert "max_a" not in plain
     assert with_a["max_a"] == 2.5
+
+
+# --- scipy.special stays off the start-up path ---------------------------------
+
+def _fresh_interpreter(code):
+    """Run ``code`` in a new interpreter on this package; return its stdout.
+
+    The pytest process cannot tell what a start-up loads: the test modules
+    import scipy themselves.
+    """
+    src = str(Path(subpot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+COLD_START = """
+import json, sys
+import subpot, subpot.cli
+from subpot import ALL_CHECKERS, SuiteConfig, rows_to_csv, run_unit
+subpot.cli.build_parser()
+cfg = SuiteConfig()
+for name in ALL_CHECKERS:
+    if name not in ("lemma1", "small_intervals_ratio"):
+        run_unit(name, 0, cfg)
+loaded = "scipy.special" in sys.modules
+print(json.dumps({"loaded": loaded, "lemma1": rows_to_csv(run_unit("lemma1", 0, cfg)[0])}))
+"""
+
+
+def test_cold_start_loads_scipy_special_only_for_lemma1():
+    out = json.loads(_fresh_interpreter(COLD_START))
+    assert out["loaded"] is False
+    assert out["lemma1"] == rows_to_csv(run_unit("lemma1", 0, SuiteConfig())[0])
+
+
+def test_pool_parent_loads_scipy_special_before_the_workers_fork():
+    code = (
+        "import sys\n"
+        "from subpot import SuiteConfig, run_suite\n"
+        "run_suite(SuiteConfig(seed=7, instances=2, checkers=('lemma2',), jobs=2))\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code).strip() == "True"
+
+
+def test_lemma1_suite_csv_is_the_same_at_one_and_two_jobs(tmp_path):
+    csvs = []
+    for jobs in ("1", "2"):
+        out_csv = tmp_path / f"jobs{jobs}.csv"
+        rc = cli_main(["suite", "--checkers", "lemma1", "--instances", "4", "--jobs", jobs, "--out", str(out_csv)])
+        assert rc == 0
+        csvs.append(out_csv.read_bytes())
+    assert csvs[0] == csvs[1]

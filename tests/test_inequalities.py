@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import lambertw
+from scipy.special import lambertw, xlogy
 
 from subpot import (
     AtomicMeasure,
@@ -209,10 +209,17 @@ def test_lemma4_random_instances():
         assert lemma4_check(e, x, r, R, q).holds()
 
 
+def _closed_kernel_norm(e, x, R, q):
+    """The kernel norm from the closed-form power integral, at a point or an array of points."""
+    xs = np.asarray(x, float)
+    norm = inequalities._log_kernel_power_integral(e, xs, R, q) ** (1.0 / q)
+    return norm if xs.ndim else float(norm)
+
+
 def test_log_kernel_norm_routes_agree():
     e = IntervalSet.from_pairs([(0.1, 0.5), (0.9, 1.2)])
-    closed, _ = log_kernel_norm(e, 0.4, 1.3, 1.7)
-    quad, _ = log_kernel_norm(e, 0.4, 1.3, 1.7, method="quadrature")
+    closed = _closed_kernel_norm(e, 0.4, 1.3, 1.7)
+    quad, _ = log_kernel_norm(e, 0.4, 1.3, 1.7)
     assert closed == pytest.approx(KERNEL_NORM_ORACLE, rel=1e-8)
     assert quad == pytest.approx(closed, rel=1e-8)
 
@@ -227,15 +234,15 @@ def test_log_kernel_norm_routes_agree_randomized():
             continue
         x = float(rng.uniform(0.0, R))
         q = float(rng.uniform(1.0, 3.5))
-        a, _ = log_kernel_norm(e, x, R, q)
-        b, _ = log_kernel_norm(e, x, R, q, method="quadrature")
+        a = _closed_kernel_norm(e, x, R, q)
+        b, _ = log_kernel_norm(e, x, R, q)
         assert b == pytest.approx(a, rel=1e-7)
         # The closed form on an array of points (interval ends included)
         # agrees with one scalar call per point up to vectorised rounding.
         xs = np.concatenate([[0.0, x, R], ends, rng.uniform(0.0, R, size=5)])
-        norms, err = log_kernel_norm(e, xs, R, q)
-        assert norms.shape == xs.shape and err == 0.0
-        assert norms == pytest.approx([log_kernel_norm(e, float(t), R, q)[0] for t in xs], rel=1e-14)
+        norms = _closed_kernel_norm(e, xs, R, q)
+        assert norms.shape == xs.shape
+        assert norms == pytest.approx([_closed_kernel_norm(e, float(t), R, q) for t in xs], rel=1e-14)
 
 
 def test_sup_log_kernel_norm_dominates_samples():
@@ -245,16 +252,16 @@ def test_sup_log_kernel_norm_dominates_samples():
         sup = _sup_log_kernel_norm(e, 2.0, q)
         for _ in range(50):
             x = float(rng.uniform(0.0, 2.0))
-            assert log_kernel_norm(e, x, 2.0, q)[0] <= sup + 1e-9
+            assert _closed_kernel_norm(e, x, 2.0, q) <= sup + 1e-9
 
 
 def _golden_sup_log_kernel_norm(e, R, q):
     """The kernel-norm sup by the same 256-point grid and a golden-section polish of its peaks."""
     xs = np.linspace(0.0, R, 256)
-    vals = log_kernel_norm(e, xs, R, q)[0]
+    vals = _closed_kernel_norm(e, xs, R, q)
     (peaks,) = grid_peaks(vals, periodic=False)
     step = R / 255
-    refined = golden_max(lambda x: log_kernel_norm(e, x, R, q)[0], xs[peaks] - step, xs[peaks] + step)
+    refined = golden_max(lambda x: _closed_kernel_norm(e, x, R, q), xs[peaks] - step, xs[peaks] + step)
     return max(vals.max(), refined.max(initial=-np.inf))
 
 
@@ -279,7 +286,7 @@ def test_sup_log_kernel_norm_matches_golden_section_and_dense_grid(monkeypatch):
             m.setattr(inequalities, "_log_kernel_power_integral", counted)
             sup = _sup_log_kernel_norm(e, R, q)
         ref = _golden_sup_log_kernel_norm(e, R, q)
-        dense = log_kernel_norm(e, np.linspace(0.0, R, 65536), R, q)[0].max()
+        dense = _closed_kernel_norm(e, np.linspace(0.0, R, 65536), R, q).max()
         assert abs(sup - ref) <= 1e-12 * ref
         assert sup >= dense * (1.0 - 1e-14)
     # One grid pass plus a few Newton steps: a wrong F'' still converges
@@ -293,11 +300,11 @@ def test_sup_log_kernel_norm_with_an_interval_end_on_a_grid_peak():
     R, q = 2.0, 2.0
     xs = np.linspace(0.0, R, 256)
     e = IntervalSet.from_pairs([(0.0, 0.001), (xs[100] - 0.3 * R / 255, xs[100])])
-    grid = log_kernel_norm(e, xs, R, q)[0]
+    grid = _closed_kernel_norm(e, xs, R, q)
     assert 100 in grid_peaks(grid, periodic=False)[0]
     sup = _sup_log_kernel_norm(e, R, q)
     ref = _golden_sup_log_kernel_norm(e, R, q)
-    dense = log_kernel_norm(e, np.linspace(0.0, R, 65536), R, q)[0].max()
+    dense = _closed_kernel_norm(e, np.linspace(0.0, R, 65536), R, q).max()
     assert abs(sup - ref) <= 1e-12 * ref
     assert sup >= dense * (1.0 - 1e-14)
 
@@ -486,6 +493,27 @@ def test_growth_ratio_spike_subtraction_matches_a_tight_reference():
     )
     assert ref_err < 1e-3 * err
     assert abs(val - ref) <= err
+
+
+def test_growth_ratio_spike_term_at_the_origin_and_on_the_circle(monkeypatch):
+    # With the quadrature stubbed to 0, _nevanlinna_lhs returns minus the
+    # closed-form spike term alone.  Poles at rho = 0 and rho = r put 0 ln 0
+    # in both of its x ln x terms; scipy's xlogy defines it as 0.
+    r = 1.3
+    f = RationalFunctionSpec(poles=AtomicMeasure.from_pairs([(0j, 1.0), (r, 2.0), (-0.4j, 3.0)]))
+    monkeypatch.setattr(inequalities, "integrate", lambda *args, **kwargs: (0.0, 0.0))
+    _nevanlinna_lhs.cache_clear()
+    try:
+        val, err = _nevanlinna_lhs(f, r, LHS_QUAD)
+    finally:
+        _nevanlinna_lhs.cache_clear()
+    rhos = [(abs(c), m) for c, m in f.poles.atoms]
+    assert sorted(rho for rho, _ in rhos) == [0.0, 0.4, r]
+    spike = sum(m * (xlogy(r - rho, r - rho) + xlogy(rho, rho) - r) for rho, m in rhos)
+    assert err == 0.0
+    assert float(val).hex() == float(-spike).hex()
+    edges = [0.0, 5e-324, 1e-300, 0.4, 1.0, math.e, math.exp(700.0)]
+    assert [inequalities._xlogx(x).hex() for x in edges] == [float(xlogy(x, x)).hex() for x in edges]
 
 
 def test_small_intervals_probe_closed_instance():
