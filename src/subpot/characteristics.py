@@ -3,11 +3,13 @@
 Circle means of the potentials themselves have exact closed forms
 (``mean of ln|z - a| over |z| = r`` is ``ln max(r, |a|)``); at ``r = 0``
 that is the point value ``u(0)``, the one point value the package uses.
-Everything nonlinear samples one real kernel, :class:`CircleSampler`.
-Circle maxima and minima polish each peak of one dense angular grid by
+Everything nonlinear samples one real kernel, :class:`CircleSampler`,
+which keeps each atom's share of the squared distance on one dense angular
+grid.  Circle maxima and minima polish each peak of that grid by
 safeguarded Newton on the profile's closed-form angular derivatives;
 means of the plus, minus and abs parts use singularity-aware quadrature
-split at nearby atoms' angles and at the profile's sign changes, found by
+split at nearby atoms' angles and at the profile's sign changes, and the
+zero crossings of the circle maxima come from a radial scan, all refined by
 the same Newton routine (in :mod:`subpot.search`).  One table holds the
 transforms.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -118,6 +120,32 @@ class CircleSampler:
         with np.errstate(divide="ignore"):
             return self._log_sum(dx, h)
 
+    @cached_property
+    def _polar_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per atom, ``rho`` and ``G = 4 rho sin^2((s - theta)/2)`` on the shared grid, so ``D = (t - rho)**2 + t G``.
+
+        Neither term cancels beside the atom.  Built on first use, because
+        the quadrature route to the circle mean of ``v`` itself never visits
+        the grid.
+        """
+        centers = self._atoms[0] + 1j * self._atoms[1]
+        rho = np.abs(centers)[:, None]
+        return rho, 4.0 * rho * np.sin(0.5 * (_S_GRID - np.angle(centers)[:, None])) ** 2
+
+    def grid_profile(self, ts: np.ndarray) -> np.ndarray:
+        """Profile values at each radius in ``ts`` (rows) and each angle of the shared grid (columns)."""
+        rho, g = self._polar_grid
+        d = g[:, None, :] * ts[:, None]
+        d += ((ts - rho) ** 2)[:, :, None]
+        with np.errstate(divide="ignore"):
+            return self._log_sum(d, self._atoms[2][:, None, None])
+
+    def radial_slope(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Radial derivative of the profile at ``t * e^{is}``: atom ``a`` adds ``m (t - Re(a e^{-is})) / D``."""
+        _, _, dx, dy, _, _, h = self._offsets(t, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (2.0 * h * (dx * np.cos(s) + dy * np.sin(s)) / (dx * dx + dy * dy)).sum(axis=0)
+
     def jet(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Profile value and its first two angular derivatives at ``t * e^{is}``.
 
@@ -139,18 +167,21 @@ def _sampler(v: FunctionLike) -> CircleSampler:
     return CircleSampler(as_delta(v))
 
 
-def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Profile maxima (sign 1) and minima (sign -1): one row per sign, one column per radius.
+def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Profile maxima (sign 1) and minima (sign -1) and the angles that attain them.
 
-    Each extreme is the maximum of ``sign * profile``.  One angular grid
-    pass serves every sign.  Each grid peak is polished by safeguarded
-    Newton inside its two neighbouring cells, the peaks of all signs and
-    radii as one set of lanes, so an extreme never falls short of its grid
-    value.
+    Both arrays have one row per sign and one column per radius.  Each
+    extreme is the maximum of ``sign * profile``.  One angular grid pass
+    serves every sign.  Each grid peak is polished by safeguarded Newton
+    inside its two neighbouring cells, the peaks of all signs and radii as
+    one set of lanes, so an extreme never falls short of its grid value.
+    The angle is the polished root of the winning peak, or the best grid
+    angle where no polished value beats the grid.
     """
     step = _TWO_PI / _CIRCLE_GRID
-    vals = signs[:, None, None] * sampler.profile(ts[:, None], _S_GRID[None, :])
+    vals = signs[:, None, None] * sampler.grid_profile(ts)
     best = vals.max(axis=2)
+    angles = _S_GRID[vals.argmax(axis=2)]
     k, rows, cols = grid_peaks(vals, periodic=True)
     lane_sign, lane_t = signs[k], ts[rows]
 
@@ -160,9 +191,11 @@ def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) 
         return sign * p, sign * dp, sign * d2p
 
     s0 = _S_GRID[cols]
-    _, refined = newton_crossing(lane_jet, s0 - step, s0 + step, s0)
+    roots, refined = newton_crossing(lane_jet, s0 - step, s0 + step, s0)
     np.maximum.at(best, (k, rows), refined)
-    return signs[:, None] * best
+    won = refined == best[k, rows]
+    angles[k[won], rows[won]] = roots[won]
+    return signs[:, None] * best, angles
 
 
 def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") -> np.ndarray:
@@ -188,8 +221,43 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
     if transform in ("minus", "abs"):
         signs.append(-1.0)
         up_moduli.append(sampler.u.plus.charge.moduli)
-    sup = wrap(_circle_extremes(sampler, ts, np.array(signs))).max(axis=0)
+    sup = wrap(_circle_extremes(sampler, ts, np.array(signs))[0]).max(axis=0)
     return np.where(np.isin(ts, np.concatenate(up_moduli)), np.inf, sup)
+
+
+def max_crossings(v: FunctionLike, r: float) -> list[float]:
+    """Radii in ``(0, r)`` where the circle maximum ``M`` of ``v`` crosses zero, sorted.
+
+    ``M`` is scanned at 30 interior radii, in two calls of 15 (one
+    quadrature panel's footprint), and is ``+inf`` on the modulus of every
+    minus atom in ``[0, r]``.  Each sign change between neighbours brackets
+    a crossing, which safeguarded Newton refines, all brackets at once, on
+    ``g = sign(M(lo)) M`` and ``dg = sign(M(lo)) M'``.  By the envelope
+    theorem ``M'(t)`` is the profile's radial derivative at the angle that
+    attains the maximum.  Two crossings between neighbouring radii of the
+    scan go unseen, and so does a crossing between ``0`` or ``r`` and its
+    nearest scan radius.
+    """
+    sampler = _sampler(v)
+    ts = r * np.arange(1, 31) / 31.0
+    vals = np.concatenate([max_on_circles(v, ts[:15]), max_on_circles(v, ts[15:])])
+    up = sampler.u.minus.charge.moduli
+    up = up[up <= r]
+    ts = np.concatenate([ts, up])
+    order = np.argsort(ts, kind="stable")
+    ts, vals = ts[order], np.concatenate([vals, np.full(up.size, np.inf)])[order]
+    idx = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
+    sign = np.sign(vals[idx])
+    plus = np.ones(1)
+
+    def lane_jet(t: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m, s = _circle_extremes(sampler, t, plus)
+        g = sign[lanes] * m[0]
+        return g, g, sign[lanes] * sampler.radial_slope(t, s[0])
+
+    lo, hi = ts[idx], ts[idx + 1]
+    roots, _ = newton_crossing(lane_jet, lo, hi, 0.5 * (lo + hi))
+    return sorted(ts[vals == 0.0].tolist() + roots.tolist())
 
 
 @lru_cache(maxsize=3)
@@ -225,7 +293,7 @@ def _spike_angles(u: DeltaSubharmonicFn, r: float) -> list[float]:
 
 
 def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
-    vals = sampler.profile(r, _S_GRID)
+    vals = sampler.grid_profile(np.array([r]))[0]
     idx = sign_changes(vals)
     lo = _S_GRID[idx]
     hi = lo + _TWO_PI / _CIRCLE_GRID

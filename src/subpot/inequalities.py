@@ -3,8 +3,9 @@
 Each checker evaluates both sides of one proved inequality (or identity)
 on a concrete instance and returns a :class:`BoundReport`.  Left-hand
 sides involving circle maxima go through singularity-hinted quadrature of
-the grid-refined maxima; the Nevanlinna integral first subtracts the log
-spike of every pole circle and adds it back in closed form.  Right-hand
+the grid-refined maxima; the Nevanlinna integral instead subtracts the log
+spike of every pole circle, adds it back in closed form, and splits at the
+pole moduli and at the zero crossings of the maxima.  Right-hand
 sides combine closed forms, circle means and norms.  ``holds()`` compares
 the sides with a margin built from the accumulated quadrature error
 estimates.
@@ -30,6 +31,7 @@ from .characteristics import (
     characteristic_T,
     circle_mean_nonlinear,
     counting_integral,
+    max_crossings,
     max_on_circle,
     max_on_circles,
     nevanlinna,
@@ -455,6 +457,11 @@ def _nevanlinna_lhs(f: RationalFunctionSpec, r: float, spec: QuadratureSpec) -> 
     grow like ``-m ln|t - rho|``.  Quadrature runs on the maxima plus
     ``m ln|t - rho|`` for each such pole, and those terms come back in closed
     form: ``int_0^r ln|t - rho| dt = (r - rho) ln(r - rho) + rho ln rho - r``.
+    The sum is smooth at ``rho``, and ``ln+`` has a kink wherever the maxima
+    cross zero, so the pole moduli and the crossings found by
+    :func:`max_crossings` are both plain panel edges (``breaks``).  A kink
+    left to bisection can hide in the sliver between a panel's end and its
+    outermost node, where no error estimate sees it.
     """
     u = ln_abs(f)
     spikes = [(abs(c), m) for c, m in f.poles.atoms if abs(c) <= r]
@@ -465,7 +472,8 @@ def _nevanlinna_lhs(f: RationalFunctionSpec, r: float, spec: QuadratureSpec) -> 
             out += m * np.log(np.abs(ts - rho))
         return out
 
-    val, err = integrate(h, 0.0, r, spec=spec, hints=[rho for rho, _ in spikes])
+    breaks = [rho for rho, _ in spikes] + max_crossings(u, r)
+    val, err = integrate(h, 0.0, r, spec=spec, breaks=breaks)
     return val - sum(m * (_xlogx(r - rho) + _xlogx(rho) - r) for rho, m in spikes), err
 
 

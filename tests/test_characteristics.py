@@ -24,7 +24,7 @@ from subpot import (
     radial_count,
 )
 import subpot.characteristics as characteristics
-from subpot.characteristics import _CIRCLE_GRID, CircleSampler, _quad_mean
+from subpot.characteristics import _CIRCLE_GRID, _S_GRID, CircleSampler, _circle_extremes, _quad_mean
 from subpot.inequalities import MEAN_QUAD
 from subpot.quadrature import QuadratureSpec, integrate
 from subpot.search import grid_peaks
@@ -354,6 +354,42 @@ def test_jet_matches_profile_and_its_finite_differences():
         scale = 1.0 + np.abs(d2p)
         assert np.all(np.abs(dp - (hi - lo) / (2 * h)) <= 1e-5 * scale)
         assert np.all(np.abs(d2p - (hi - 2 * mid + lo) / h**2) <= 1e-3 * scale)
+
+
+def test_grid_profile_matches_the_kernel_on_the_grid():
+    # D = (t - rho)**2 + t G sums the same atoms in the same order as the
+    # Cartesian kernel, so the two agree to rounding.
+    rng = np.random.default_rng(90)
+    for _ in range(10):
+        sampler = CircleSampler(DeltaSubharmonicFn(plus=_random_potential(rng), minus=_random_potential(rng)))
+        ts = np.concatenate([[0.0], rng.uniform(0.05, 5.0, 14)])
+        ref = sampler.profile(ts[:, None], _S_GRID[None, :])
+        got = sampler.grid_profile(ts)
+        assert got.shape == ref.shape == (15, _CIRCLE_GRID)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_radial_slope_matches_finite_differences():
+    rng = np.random.default_rng(91)
+    h = 1e-5
+    for _ in range(10):
+        sampler = CircleSampler(DeltaSubharmonicFn(plus=_random_potential(rng), minus=_random_potential(rng)))
+        t = rng.uniform(0.05, 5.0, 30)
+        s = rng.uniform(0.0, 2 * math.pi, 30)
+        slope = sampler.radial_slope(t, s)
+        diff = (sampler.profile(t + h, s) - sampler.profile(t - h, s)) / (2 * h)
+        assert np.all(np.abs(slope - diff) <= 1e-5 * (1.0 + np.abs(slope)))
+
+
+def test_circle_extremes_return_the_angles_that_attain_them():
+    rng = np.random.default_rng(92)
+    for _ in range(10):
+        sampler = CircleSampler(DeltaSubharmonicFn(plus=_random_potential(rng), minus=_random_potential(rng)))
+        ts = rng.uniform(0.05, 5.0, 15)
+        values, angles = _circle_extremes(sampler, ts, np.array([1.0, -1.0]))
+        assert values.shape == angles.shape == (2, 15)
+        at = sampler.profile(np.broadcast_to(ts, angles.shape), angles)
+        assert np.all(np.abs(at - values) <= 1e-12 * np.maximum(np.abs(values), 1.0))
 
 
 def test_kernel_point_alone_matches_batch():

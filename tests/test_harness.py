@@ -404,8 +404,10 @@ def test_warm_memos_give_the_cold_rows(name):
 )
 def test_reported_err_covers_a_tight_reference(name, index):
     # The reference is the same unit with every integral at rel_tol = 1e-12.
-    # Without the a-priori grading toward singular hints both Nevanlinna
-    # units miss it (by up to 4.9 err).  main_theorem_M 9 refines its
+    # The Nevanlinna lhs subtracts each pole's log spike, which leaves it
+    # smooth at the pole moduli, so it takes them (and the zero crossings of
+    # the maxima) as plain edges, not graded hints; units 13 and 16 check
+    # that its err still covers the reference.  main_theorem_M 9 refines its
     # reference down to panels of about 100 ulps on an atom modulus, where a
     # split whose nodes round onto their ends would sample the modulus.
     rows, failures = run_unit(name, index, SuiteConfig())

@@ -28,7 +28,8 @@ from subpot import (
     small_intervals_ratio,
 )
 from subpot import inequalities
-from subpot.characteristics import max_on_circles
+from subpot.characteristics import max_crossings, max_on_circles
+from subpot.harness import SuiteConfig, generate_instance, rational_from_doc, rng_for
 from subpot.inequalities import LHS_QUAD, _minimal_small_set_constant, _nevanlinna_lhs, _sup_log_kernel_norm
 from subpot.model import ln_abs
 from subpot.quadrature import QuadratureSpec, integrate
@@ -493,6 +494,38 @@ def test_growth_ratio_spike_subtraction_matches_a_tight_reference():
     )
     assert ref_err < 1e-3 * err
     assert abs(val - ref) <= err
+
+
+def test_growth_ratio_finds_the_kink_beside_a_pole():
+    # Default-seed instance 6: the maxima cross zero at t = 0.958666.  With
+    # the pole moduli as the only breaks, bisection made the panel
+    # [0.958158, 1.265548], whose first Kronrod node is at 0.95947, so the
+    # kink sat unsampled in its end sliver and the lhs came out 1.06e-7
+    # low (1.13199091493) against an err of 5e-9.  The reference is a
+    # 400-piece brute force.
+    cfg = SuiteConfig()
+    inst = generate_instance("nevanlinna_ratio", rng_for(cfg.seed, "nevanlinna_ratio", 6)[0], cfg)
+    f, r = rational_from_doc(inst.base_doc["f"]), inst.base_doc["r"]
+    val, err = _nevanlinna_lhs(f, r, LHS_QUAD)
+    assert abs(val - 1.13199102095215) <= err
+
+
+def test_growth_ratio_kink_of_the_reciprocal():
+    # For f = 1/z the maxima are -ln t, which cross zero at t = 1 only, and
+    # int_0^2 ln+(1/t) dt = 1.
+    f = RationalFunctionSpec(poles=ORIGIN)
+    crossings = max_crossings(ln_abs(f), 2.0)
+    assert len(crossings) == 1 and abs(crossings[0] - 1.0) <= 1e-12
+    assert abs(nevanlinna_ratio(f, 2.0, 2.0).lhs - 0.5) <= 1e-9
+
+
+def test_growth_ratio_finds_no_kink_where_the_maxima_stay_positive():
+    # |f| = 5 / (|z - 0.3| |z - 0.7i|) >= 5 / ((t + 0.3)(t + 0.7)) > 1 for t <= 1.5.
+    r = 1.5
+    f = RationalFunctionSpec(poles=AtomicMeasure.from_pairs([(0.3, 1.0), (0.7j, 1.0)]), scale=5.0)
+    u = ln_abs(f)
+    assert np.all(max_on_circles(u, np.linspace(1e-3, r, 200)) > 0.0)
+    assert max_crossings(u, r) == []
 
 
 def test_growth_ratio_spike_term_at_the_origin_and_on_the_circle(monkeypatch):
