@@ -9,9 +9,9 @@ grid.  Circle maxima and minima polish each peak of that grid by
 safeguarded Newton on the profile's closed-form angular derivatives;
 means of the plus, minus and abs parts use singularity-aware quadrature
 split at nearby atoms' angles and at the profile's sign changes, and the
-zero crossings of the circle maxima come from a radial scan, all refined by
-the same Newton routine (in :mod:`subpot.search`).  One table holds the
-transforms.
+kinks of the circle maxima (zero crossings and switches of the winning
+peak) come from a radial scan, all refined by the same Newton routine (in
+:mod:`subpot.search`).  One table holds the transforms.
 
 Three pure functions repeat inside one checker unit, so each has a memo
 keyed on every argument and bounded by one unit's need: ``_sampler(v)``
@@ -47,6 +47,15 @@ _CIRCLE_GRID = 1024
 # One shared angular grid, read-only so no caller can change another's.
 _S_GRID = np.linspace(0.0, _TWO_PI, _CIRCLE_GRID, endpoint=False)
 _S_GRID.flags.writeable = False
+# Rounds of kink refinement: a root where a third branch leads splits its bracket.
+_KINK_ROUNDS = 3
+# Roots closer than this to a bracket end, relative, are dropped: far
+# below any panel a kink could still matter in.
+_END_GAP = 1e-12
+# A scan winner farther than this from an atom's angle is not its spike.
+_SPIKE_DRIFT = math.pi / 8
+# Two polished peaks closer than this are one peak polished twice.
+_SAME_PEAK = 0.125 * _TWO_PI / _CIRCLE_GRID
 # Atoms this close to the circle (relative) get an angular hint.
 _SPIKE_REL = 0.05
 
@@ -167,23 +176,19 @@ def _sampler(v: FunctionLike) -> CircleSampler:
     return CircleSampler(as_delta(v))
 
 
-def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Profile maxima (sign 1) and minima (sign -1) and the angles that attain them.
+def _grid_peaks(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Grid values of ``signs[b, i] * profile`` at radius ``ts[i]``, and the sign row, radius and column of each grid peak."""
+    with np.errstate(invalid="ignore"):
+        vals = signs[:, :, None] * sampler.grid_profile(ts)
+    return (vals, *grid_peaks(vals, periodic=True))
 
-    Both arrays have one row per sign and one column per radius.  Each
-    extreme is the maximum of ``sign * profile``.  One angular grid pass
-    serves every sign.  Each grid peak is polished by safeguarded Newton
-    inside its two neighbouring cells, the peaks of all signs and radii as
-    one set of lanes, so an extreme never falls short of its grid value.
-    The angle is the polished root of the winning peak, or the best grid
-    angle where no polished value beats the grid.
-    """
+
+def _polish(
+    sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray, k: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and values of the grid peaks ``(k, rows, cols)``, polished by safeguarded Newton inside their two cells."""
     step = _TWO_PI / _CIRCLE_GRID
-    vals = signs[:, None, None] * sampler.grid_profile(ts)
-    best = vals.max(axis=2)
-    angles = _S_GRID[vals.argmax(axis=2)]
-    k, rows, cols = grid_peaks(vals, periodic=True)
-    lane_sign, lane_t = signs[k], ts[rows]
+    lane_sign, lane_t = signs[k, rows], ts[rows]
 
     def lane_jet(s: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sign = lane_sign[lanes]
@@ -191,11 +196,84 @@ def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) 
         return sign * p, sign * dp, sign * d2p
 
     s0 = _S_GRID[cols]
-    roots, refined = newton_crossing(lane_jet, s0 - step, s0 + step, s0)
+    return newton_crossing(lane_jet, s0 - step, s0 + step, s0)
+
+
+def _extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> tuple:
+    """Maxima of ``sign * profile`` (one row per sign, one column per radius), their angles, and every polished peak.
+
+    One angular grid pass serves every sign.  Each grid peak is polished by
+    safeguarded Newton inside its two neighbouring cells, the peaks of all
+    signs and radii as one set of lanes, so a maximum never falls short of
+    its grid value.  The angle is the polished root of the winning peak, or
+    NaN on a circle without a grid peak, where the profile is constant.
+    The peaks come as ``(k, rows, cols, roots, refined)``: sign row, radius,
+    grid column, polished angle and value.
+    """
+    signs2 = np.repeat(signs[:, None], ts.size, axis=1)
+    vals, k, rows, cols = _grid_peaks(sampler, ts, signs2)
+    best = vals.max(axis=2)
+    angles = np.full(best.shape, np.nan)
+    roots, refined = _polish(sampler, ts, signs2, k, rows, cols)
     np.maximum.at(best, (k, rows), refined)
     won = refined == best[k, rows]
     angles[k[won], rows[won]] = roots[won]
+    return best, angles, (k, rows, cols, roots, refined)
+
+
+def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Profile maxima (sign 1) and minima (sign -1) at each radius, and the angles that attain them (see :func:`_extremes`)."""
+    best, angles, _ = _extremes(sampler, ts, signs)
     return signs[:, None] * best, angles
+
+
+def _angle_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between angles on the circle."""
+    return np.abs((a - b + math.pi) % _TWO_PI - math.pi)
+
+
+def _nearest(group: np.ndarray, cols: np.ndarray, height: np.ndarray, q_group: np.ndarray, q_angle: np.ndarray) -> np.ndarray:
+    """Per query, the index of the peak in its group nearest its angle; -1 if the group has none.
+
+    Peaks are given by group, grid column and height.  A NaN angle (a
+    branch last seen on a constant circle) takes the highest peak.
+    """
+    match = group == q_group[:, None]
+    key = _angle_gap(_S_GRID[cols], q_angle[:, None])
+    key = np.where(np.isnan(key), -height, key)
+    pick = np.where(match, key, np.inf).argmin(axis=1) if group.size else np.zeros(q_group.size, int)
+    return np.where(match.any(axis=1), pick, -1)
+
+
+def _branch_values(
+    sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray, angles: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value and angle of each branch ``(signs[b, i], angles[b, i])`` of the circle maxima at radius ``ts[i]``.
+
+    A branch with sign ``+1`` (``-1``) is the peak of ``profile``
+    (``-profile``) nearest its angle, polished; a circle without a peak
+    (a constant profile) gives its grid maximum and a NaN angle.  Sign 0
+    is the zero level that ``plus`` clips to.  Where both branches of a
+    radius find one peak, the farther one has no peak of its own there (it
+    is born or dies nearby), so it loses: its value is ``-inf`` and its
+    angle stays.
+    """
+    vals, k, rows, cols = _grid_peaks(sampler, ts, signs)
+    pick = _nearest(k * ts.size + rows, cols, vals[k, rows, cols], np.arange(signs.size), angles.ravel())
+    pick = pick.reshape(signs.shape)
+    has = pick >= 0
+    sel = pick[has]
+    value = vals.max(axis=2)
+    angle = np.full(value.shape, np.nan)
+    angle[has], value[has] = _polish(sampler, ts, signs, k[sel], rows[sel], cols[sel])
+    value[signs == 0.0] = 0.0
+    col = np.full(pick.shape, -1)
+    col[has] = cols[sel]
+    shared = has.all(axis=0) & (signs[0] == signs[1]) & (col[0] == col[1])
+    gap = _angle_gap(angle, angles)
+    lose = shared & (gap > gap[::-1])
+    value[lose], angle[lose] = -np.inf, angles[lose]
+    return value, angle
 
 
 def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") -> np.ndarray:
@@ -225,39 +303,166 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
     return np.where(np.isin(ts, np.concatenate(up_moduli)), np.inf, sup)
 
 
-def max_crossings(v: FunctionLike, r: float) -> list[float]:
-    """Radii in ``(0, r)`` where the circle maximum ``M`` of ``v`` crosses zero, sorted.
+def upward_spikes(u: DeltaSubharmonicFn, transform: str) -> dict[float, tuple[float, float, float]]:
+    """Per modulus of the canonical ``u``'s atoms whose spike ``transform`` (``plus`` or ``abs``) sends upward, the heaviest one.
 
-    ``M`` is scanned at 30 interior radii, in two calls of 15 (one
-    quadrature panel's footprint), and is ``+inf`` on the modulus of every
-    minus atom in ``[0, r]``.  Each sign change between neighbours brackets
-    a crossing, which safeguarded Newton refines, all brackets at once, on
-    ``g = sign(M(lo)) M`` and ``dg = sign(M(lo)) M'``.  By the envelope
-    theorem ``M'(t)`` is the profile's radial derivative at the angle that
-    attains the maximum.  Two crossings between neighbouring radii of the
-    scan go unseen, and so does a crossing between ``0`` or ``r`` and its
-    nearest scan radius.
+    Each entry is ``(mass, sign, angle)``: sign 1 for a minus atom (a peak
+    of the profile), -1 for a plus atom under ``abs``; the angle is NaN for
+    an atom at the origin, whose spike fills the circle.
+    """
+    up = [(1.0, u.minus.charge)] + ([(-1.0, u.plus.charge)] if transform == "abs" else [])
+    spikes: dict[float, tuple[float, float, float]] = {}
+    for sign, charge in up:
+        for c, m in charge.atoms:
+            rho = abs(c)
+            if m > spikes.get(rho, (0.0,))[0]:
+                spikes[rho] = (m, sign, math.atan2(c.imag, c.real) % _TWO_PI if rho > 0.0 else math.nan)
+    return spikes
+
+
+def max_crossings(v: FunctionLike, lo: float, hi: float, transform: str = "plus") -> list[float]:
+    """Kinks of the circle maxima of ``transform(v)`` (``plus`` or ``abs``) in ``[lo, hi]``, sorted.
+
+    Near each radius the supremum follows one branch: a peak of the
+    profile (sign 1), a peak of its negative (sign -1, for ``abs``) or the
+    zero level (sign 0, where ``plus`` clips).  A kink is a radius where the
+    winning branch changes: a zero crossing of ``M`` (``plus``), a sign
+    change of ``M + m`` (``abs``, with ``m`` the circle minimum), or a
+    switch between two peaks of one sign.  The winners are scanned at 32
+    radii, ``lo`` and ``hi`` included, in two calls of 16 (one quadrature
+    panel's footprint), and at each upward atom modulus in ``[lo, hi]``,
+    where the heaviest atom's spike wins.  Neighbours whose winners are
+    different branches (:func:`_brackets_kink`) bracket a kink, and
+    safeguarded Newton refines every bracket at once on ``g = P_a - P_b``,
+    the gap between the two branches, each tracked by its nearest peak; by
+    the envelope theorem ``P'`` is the profile's radial derivative at the
+    peak's angle.  Where a third branch leads at the root, the root joins
+    the scan and splits its bracket, for up to ``_KINK_ROUNDS`` rounds.  A
+    kink and its undoing between two neighbouring scan radii go unseen.
     """
     sampler = _sampler(v)
-    ts = r * np.arange(1, 31) / 31.0
-    vals = np.concatenate([max_on_circles(v, ts[:15]), max_on_circles(v, ts[15:])])
-    up = sampler.u.minus.charge.moduli
-    up = up[up <= r]
-    ts = np.concatenate([ts, up])
-    order = np.argsort(ts, kind="stable")
-    ts, vals = ts[order], np.concatenate([vals, np.full(up.size, np.inf)])[order]
-    idx = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    sign = np.sign(vals[idx])
-    plus = np.ones(1)
+    signs = np.array([1.0] if transform == "plus" else [1.0, -1.0])
+    spikes = {rho: spike for rho, spike in upward_spikes(sampler.u, transform).items() if lo <= rho <= hi}
+
+    # Points of the scan, each with its winner; ``pid`` keys its peaks
+    # (-1 at a modulus, which has none).
+    scan = np.linspace(lo, hi, 32)
+    scan = scan[~np.isin(scan, list(spikes))]
+    half = scan[:16].size
+    parts = [_scan_winners(sampler, scan[:half], signs, 0), _scan_winners(sampler, scan[half:], signs, half)]
+    ts = np.concatenate([scan, list(spikes)])
+    sign = np.concatenate([parts[0][0], parts[1][0], [s for _, s, _ in spikes.values()]])
+    angle = np.concatenate([parts[0][1], parts[1][1], [a for _, _, a in spikes.values()]])
+    pid = np.concatenate([np.arange(scan.size), np.full(len(spikes), -1)])
+    table = _join_peaks(parts[0][3], parts[1][3])
+
+    kinks: list[float] = []
+    pairs = None
+    for _ in range(_KINK_ROUNDS):
+        order = np.argsort(ts, kind="stable")
+        ts, sign, angle, pid = ts[order], sign[order], angle[order], pid[order]
+        if pairs is None:
+            pairs = np.arange(ts.size - 1)
+        else:
+            new = np.nonzero(pid >= first_new)[0]
+            pairs = np.unique(np.clip(np.concatenate([new - 1, new]), 0, ts.size - 2))
+        idx = pairs[_brackets_kink(ts, sign, angle, pid, table, pairs)]
+        if idx.size == 0:
+            break
+        lane_signs = np.array([sign[idx], sign[idx + 1]])
+        lane_angles = np.array([angle[idx], angle[idx + 1]])
+        roots = _refine_kinks(sampler, ts[idx], ts[idx + 1], lane_signs, lane_angles)
+        # A root is a kink where its two branches lead; where a third one
+        # leads, the root joins the scan.  A root that ran into its
+        # bracket's end is no kink of its own.
+        first_new = pid.max(initial=-1) + 1
+        win_sign, win_angle, win_value, peaks = _scan_winners(sampler, roots, signs, first_new)
+        tie, _ = _branch_values(sampler, roots, lane_signs, lane_angles)
+        kink = tie.max(axis=0) + 1e-12 * (1.0 + np.abs(win_value)) >= win_value
+        inside = np.minimum(roots - ts[idx], ts[idx + 1] - roots) > _END_GAP * (np.abs(ts[idx]) + np.abs(ts[idx + 1]))
+        kinks += roots[kink & inside].tolist()
+        ts = np.concatenate([ts, roots[~kink]])
+        sign = np.concatenate([sign, win_sign[~kink]])
+        angle = np.concatenate([angle, win_angle[~kink]])
+        pid = np.concatenate([pid, first_new + np.nonzero(~kink)[0]])
+        table = _join_peaks(table, peaks)
+    return sorted(kinks)
+
+
+def _scan_winners(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray, first_pid: int) -> tuple:
+    """Sign, angle and value of the winning branch of the circle maxima at each radius, and the polished peaks.
+
+    The peaks come as ``(pid, sign, col, root, value)``, where radius ``i``
+    has the point id ``first_pid + i`` (see :func:`_extremes`).
+    """
+    best, angles, (k, rows, cols, roots, refined) = _extremes(sampler, ts, signs)
+    peaks = (first_pid + rows, signs[k], cols, roots, refined)
+    if signs.size == 1:
+        pos = best[0] > 0.0
+        return np.where(pos, 1.0, 0.0), angles[0], np.maximum(best[0], 0.0), peaks
+    lead = best[0] >= best[1]
+    return np.where(lead, 1.0, -1.0), np.where(lead, angles[0], angles[1]), np.maximum(best[0], best[1]), peaks
+
+
+def _join_peaks(a: tuple, b: tuple) -> tuple:
+    """Two peak tables as one, field by field."""
+    return tuple(np.concatenate([x, y]) for x, y in zip(a, b))
+
+
+def _brackets_kink(
+    ts: np.ndarray, sign: np.ndarray, angle: np.ndarray, pid: np.ndarray, table: tuple, pairs: np.ndarray
+) -> np.ndarray:
+    """Whether the winners at ``ts[i]`` and ``ts[i + 1]`` are different branches, for each ``i`` in ``pairs``.
+
+    They are when their signs differ; when both are spikes at different
+    angles; when one is a spike and the other's angle lies more than
+    ``_SPIKE_DRIFT`` from the spike's; or when the peak nearest the first
+    one's angle at the second radius is not the winner there (the test runs
+    at the first radius when the second is a modulus).  A NaN angle (a
+    constant circle, or the spike of an atom at the origin) matches any.
+    ``table`` holds the polished peaks of the scanned radii, keyed by ``pid``.
+    """
+    nxt = pairs + 1
+    at_modulus = pid < 0
+    back = at_modulus[nxt] & ~at_modulus[pairs]
+    probe, source = np.where(back, pairs, nxt), np.where(back, nxt, pairs)
+    gap = _angle_gap(angle[pairs], angle[nxt])
+    kink = (sign[pairs] != sign[nxt]) | (at_modulus[pairs] & at_modulus[nxt] & (gap > _SAME_PEAK))
+    test = np.nonzero(~kink & (sign[nxt] != 0.0) & ~at_modulus[probe])[0]
+    p_pid, p_sign, p_col, p_root, p_height = table
+    group = 2 * p_pid + (p_sign < 0)
+    q_group = 2 * pid[probe[test]] + (sign[source[test]] < 0)
+    pick = _nearest(group, p_col, p_height, q_group, angle[source[test]])
+    near = np.full(pick.shape, np.nan)
+    near[pick >= 0] = p_root[pick[pick >= 0]]
+    kink[test] = _angle_gap(near, angle[probe[test]]) > _SAME_PEAK
+    # A spike's own peak stays near its atom's angle; a winner far from it
+    # is another branch, even where the spike has no peak of its own.
+    kink |= (at_modulus[pairs] != at_modulus[nxt]) & (gap > _SPIKE_DRIFT)
+    return kink
+
+
+def _refine_kinks(
+    sampler: CircleSampler, lo: np.ndarray, hi: np.ndarray, signs: np.ndarray, angles: np.ndarray
+) -> np.ndarray:
+    """Where branch ``(signs[0], angles[0])``, leading at ``lo``, meets branch 1, leading at ``hi``.
+
+    Safeguarded Newton on the gap ``g = P_0 - P_1`` and its radial
+    derivative; ``angles`` follows each branch's peak.
+    """
 
     def lane_jet(t: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m, s = _circle_extremes(sampler, t, plus)
-        g = sign[lanes] * m[0]
-        return g, g, sign[lanes] * sampler.radial_slope(t, s[0])
+        sg = signs[:, lanes]
+        p, s = _branch_values(sampler, t, sg, angles[:, lanes])
+        angles[:, lanes] = s
+        with np.errstate(invalid="ignore"):
+            # On a constant circle every angle gives the same slope.
+            slope = np.where(sg == 0.0, 0.0, sg * sampler.radial_slope(t, np.nan_to_num(s)))
+        g = p[0] - p[1]
+        return g, g, slope[0] - slope[1]
 
-    lo, hi = ts[idx], ts[idx + 1]
     roots, _ = newton_crossing(lane_jet, lo, hi, 0.5 * (lo + hi))
-    return sorted(ts[vals == 0.0].tolist() + roots.tolist())
+    return roots
 
 
 @lru_cache(maxsize=3)
@@ -397,12 +602,21 @@ def characteristic_T(
 
 @dataclass(frozen=True)
 class NevanlinnaCharacteristics:
-    """Max modulus, proximity, pole counting and total characteristic at one radius."""
+    """Max modulus, proximity, pole counting and total characteristic of ``f`` at radius ``r``.
 
-    M: CharacteristicValue
+    The max modulus ``M`` costs a circle maximum, so it is computed on first read.
+    """
+
+    f: RationalFunctionSpec
+    r: float
     m: CharacteristicValue
     N: CharacteristicValue
     T: CharacteristicValue
+
+    @cached_property
+    def M(self) -> CharacteristicValue:
+        mx = max_on_circle(ln_abs(self.f), self.r)
+        return CharacteristicValue(math.exp(mx.value) if mx.value != math.inf else math.inf)
 
 
 def nevanlinna(
@@ -411,10 +625,7 @@ def nevanlinna(
     """The classical quantities for a rational function at radius ``r > 0``."""
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
-    u = ln_abs(f)
-    mx = max_on_circle(u, r)
-    big_m = CharacteristicValue(math.exp(mx.value) if mx.value != math.inf else math.inf)
-    prox_val, prox_err = _quad_mean(u, r, "plus", quad)
+    prox_val, prox_err = _quad_mean(ln_abs(f), r, "plus", quad)
     n0 = f.poles.mass_at(0j)
     n_val = n0 * math.log(r)
     for c, m in f.poles.atoms:
@@ -424,4 +635,4 @@ def nevanlinna(
     prox = CharacteristicValue(prox_val, prox_err)
     count = CharacteristicValue(n_val)
     total = CharacteristicValue(prox_val + n_val, prox_err)
-    return NevanlinnaCharacteristics(M=big_m, m=prox, N=count, T=total)
+    return NevanlinnaCharacteristics(f=f, r=r, m=prox, N=count, T=total)

@@ -1,14 +1,15 @@
 """Numerical checkers for the small-set integral bounds.
 
 Each checker evaluates both sides of one proved inequality (or identity)
-on a concrete instance and returns a :class:`BoundReport`.  Left-hand
-sides involving circle maxima go through singularity-hinted quadrature of
-the grid-refined maxima; the Nevanlinna integral instead subtracts the log
-spike of every pole circle, adds it back in closed form, and splits at the
-pole moduli and at the zero crossings of the maxima.  Right-hand
-sides combine closed forms, circle means and norms.  ``holds()`` compares
-the sides with a margin built from the accumulated quadrature error
-estimates.
+on a concrete instance and returns a :class:`BoundReport`.  Every
+left-hand side made of circle maxima is one weighted integral,
+:func:`_maxima_integral`: the weighted checkers integrate over ``E``
+against ``g``, and the Nevanlinna integral is the case ``E = [0, r]``,
+``g = 1``.  It subtracts each upward log spike between the kinks next to
+its modulus, adds it back in closed form, and splits at the moduli and
+the kinks of the maxima.  Right-hand sides combine closed forms, circle
+means and norms.  ``holds()`` compares the sides with a margin built from
+the accumulated quadrature error estimates.
 
 ``scipy.special`` is imported on first use, through :func:`scipy_special`:
 only ``lemma1``'s kernel-norm sup (the incomplete gamma function) and
@@ -25,6 +26,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .characteristics import (
     as_delta,
@@ -36,6 +38,7 @@ from .characteristics import (
     max_on_circles,
     nevanlinna,
     radial_count,
+    upward_spikes,
 )
 from .model import (
     AtomicMeasure,
@@ -58,6 +61,7 @@ MEAN_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
 NORM_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
 
 _SUP_GRID = 256
+_ROUNDING = 50.0 * float(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=1)
@@ -302,6 +306,21 @@ def lemma_a_check(
 
 # --- maxima integrals against growth characteristics ----------------------
 
+def _log_moment(coeffs: tuple, rho: float, a: float, b: float) -> float:
+    """``int_a^b g(t) ln|t - rho| dt`` in closed form, for the polynomial ``g`` (constant term first).
+
+    With ``g(t) = sum_j d_j (t - rho)**j`` (``g`` shifted to ``rho``), each
+    term integrates to ``x**(j+1) (ln|x| - 1/(j+1)) / (j+1)`` at ``x = t - rho``,
+    which is 0 at ``x = 0``.
+    """
+    d = npoly.Polynomial(coeffs)(npoly.Polynomial([rho, 1.0])).coef
+    x = np.array([a - rho, b - rho])
+    n = np.arange(1, d.size + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prim = np.where(x == 0.0, 0.0, x**n * (np.log(np.abs(x)) - 1.0 / n) / n)
+    return float(d.dot(prim[:, 1] - prim[:, 0]))
+
+
 @lru_cache(maxsize=1)
 def _maxima_integral(
     canon: DeltaSubharmonicFn,
@@ -312,17 +331,47 @@ def _maxima_integral(
 ) -> tuple[float, float]:
     """Integral over E of the circle maxima of ``transform(canon)`` times the weight pieces.
 
-    Quadrature is split at the moduli of the atoms whose spike the transform
-    sends upward.  The memo is keyed on the arguments, which leave out the
+    On each interval of ``E`` within a weight piece that holds the modulus
+    ``rho`` of an atom whose spike the transform sends upward, the maxima
+    grow like ``-m ln|t - rho|`` at ``rho``, with ``m`` the heaviest such
+    mass there.  The kinks found by :func:`max_crossings` and the moduli
+    become plain panel edges (``breaks``).  Between the two edges next to
+    ``rho`` the spike wins, so there the integrand gets ``m ln|t - rho| g(t)``,
+    which leaves it smooth, and the same term comes back in closed form
+    (:func:`_log_moment`).  An interval without such a modulus is one plain
+    integral.  The error estimate adds the rounding floor of the
+    subtraction.  The memo is keyed on the arguments, which leave out the
     exponent p, so a p sweep over one instance reuses one integral.
     """
+    heaviest = upward_spikes(canon, transform)
+    breaks: list[float] = []
+    spikes: list[tuple[float, float, float, float, tuple]] = []
+    for (a, b), coeffs in pieces:
+        for lo, hi in e.intersect(a, b).intervals:
+            rhos = sorted(rho for rho in heaviest if lo <= rho <= hi)
+            if not rhos:
+                continue
+            kinks = max_crossings(canon, lo, hi, transform)
+            edges = sorted({lo, hi, *kinks, *rhos})
+            for rho in rhos:
+                i = edges.index(rho)
+                spikes.append((rho, heaviest[rho][0], edges[max(i - 1, 0)], edges[min(i + 1, len(edges) - 1)], coeffs))
+            breaks += kinks + rhos
 
     def h(ts: np.ndarray) -> np.ndarray:
-        return max_on_circles(canon, ts, transform=transform)
+        out = max_on_circles(canon, ts, transform=transform)
+        for rho, m, seg_lo, seg_hi, _ in spikes:
+            on = (seg_lo < ts) & (ts < seg_hi)
+            out[on] += m * np.log(np.abs(ts[on] - rho))
+        return out
 
-    up = [canon.minus.charge] if transform == "plus" else [canon.plus.charge, canon.minus.charge]
-    hints = [float(x) for charge in up for x in charge.moduli]
-    return integrate_weighted(h, Weight(pieces, math.inf), e, quad=spec, hints=hints)
+    val, err = integrate_weighted(h, Weight(pieces, math.inf), e, quad=spec, breaks=breaks)
+    back = [m * _log_moment(coeffs, rho, seg_lo, seg_hi) for rho, m, seg_lo, seg_hi, coeffs in spikes]
+    # The add-back cancels against the integral, and the subtracted panels
+    # can be exact to far below rounding, so QUADPACK's rounding floor of
+    # 50 eps per sum joins the error.
+    rounding = _ROUNDING * (abs(val) + sum(map(abs, back))) if back else 0.0
+    return val - sum(back), err + rounding
 
 
 def lemma1_check(
@@ -449,39 +498,6 @@ def main_theorem_M(
 
 # --- characteristic-comparison probes (no absolute constant exists) -------
 
-@lru_cache(maxsize=1)
-def _nevanlinna_lhs(f: RationalFunctionSpec, r: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """Integral over [0, r] of the circle maxima of ln+|f|, memoised on its arguments.
-
-    Near the modulus ``rho <= r`` of a pole of multiplicity ``m`` the maxima
-    grow like ``-m ln|t - rho|``.  Quadrature runs on the maxima plus
-    ``m ln|t - rho|`` for each such pole, and those terms come back in closed
-    form: ``int_0^r ln|t - rho| dt = (r - rho) ln(r - rho) + rho ln rho - r``.
-    The sum is smooth at ``rho``, and ``ln+`` has a kink wherever the maxima
-    cross zero, so the pole moduli and the crossings found by
-    :func:`max_crossings` are both plain panel edges (``breaks``).  A kink
-    left to bisection can hide in the sliver between a panel's end and its
-    outermost node, where no error estimate sees it.
-    """
-    u = ln_abs(f)
-    spikes = [(abs(c), m) for c, m in f.poles.atoms if abs(c) <= r]
-
-    def h(ts: np.ndarray) -> np.ndarray:
-        out = max_on_circles(u, ts, transform="plus")
-        for rho, m in spikes:
-            out += m * np.log(np.abs(ts - rho))
-        return out
-
-    breaks = [rho for rho, _ in spikes] + max_crossings(u, r)
-    val, err = integrate(h, 0.0, r, spec=spec, breaks=breaks)
-    return val - sum(m * (_xlogx(r - rho) + _xlogx(rho) - r) for rho, m in spikes), err
-
-
-def _xlogx(x: float) -> float:
-    """``x ln x`` for ``x >= 0``, with ``0 ln 0 = 0``."""
-    return x * math.log(x) if x > 0 else 0.0
-
-
 def nevanlinna_ratio(
     f: RationalFunctionSpec,
     r: float,
@@ -491,7 +507,8 @@ def nevanlinna_ratio(
     """Averaged max-modulus growth over [0, r] against T at radius kr."""
     _require(r > 0 and math.isfinite(r), "need r > 0")
     _require(k > 1 and math.isfinite(k), "need k > 1")
-    raw_lhs, raw_err = _nevanlinna_lhs(f, r, quad or LHS_QUAD)
+    unit = IntervalSet(((0.0, r),))
+    raw_lhs, raw_err = _maxima_integral(canonicalize(ln_abs(f)), "plus", unit, (((0.0, r), (1.0,)),), quad or LHS_QUAD)
     lhs = raw_lhs / r
     t_at_kr = nevanlinna(f, k * r, quad or MEAN_QUAD).T
     # T(kr) is a nonnegative quantity; quadrature noise on an exact zero may

@@ -3,8 +3,8 @@
 Every extremum and root the package looks for is bracketed on a grid
 (:func:`grid_peaks`, :func:`sign_changes`) and then refined by
 :func:`newton_crossing`, all lanes at once, on closed-form derivatives:
-circle extrema, circle roots, the zero crossings of the circle maxima and
-the kernel-norm sup.
+circle extrema, circle roots, the kinks of the circle maxima and the
+kernel-norm sup.
 """
 
 from __future__ import annotations

@@ -185,11 +185,18 @@ def integrate_weighted(
     e: IntervalSet,
     quad: QuadratureSpec = DEFAULT_QUAD,
     hints: Iterable[float] = (),
+    breaks: Iterable[float] = (),
 ) -> tuple[float, float]:
-    """Integral of ``h * g`` over ``e``, split at piece edges and hints."""
+    """Integral of ``h * g`` over ``e``: one :func:`integrate` call per weight piece and interval of ``e``.
+
+    ``hints`` and ``breaks`` reach every call, which keeps those inside its
+    range: singularities, graded toward, and kinks, which are plain panel
+    edges.  The circle-maxima integrals pass only breaks, because they
+    subtract each spike before integrating.
+    """
     if e.is_empty:
         return 0.0, 0.0
-    hints = tuple(hints)
+    hints, breaks = tuple(hints), tuple(breaks)
     total = 0.0
     err = 0.0
     for (a, b), coeffs in g.pieces:
@@ -198,7 +205,7 @@ def integrate_weighted(
             def fn(t: np.ndarray) -> np.ndarray:
                 return np.asarray(h(t), float) * np.maximum(npoly.polyval(t, carr), 0.0)
 
-            val, er = integrate(fn, lo, hi, spec=quad, hints=hints)
+            val, er = integrate(fn, lo, hi, spec=quad, hints=hints, breaks=breaks)
             total += val
             err += er
     return total, err

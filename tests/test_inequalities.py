@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 from scipy.special import lambertw, xlogy
 
 from subpot import (
@@ -30,8 +31,8 @@ from subpot import (
 from subpot import inequalities
 from subpot.characteristics import max_crossings, max_on_circles
 from subpot.harness import SuiteConfig, generate_instance, rational_from_doc, rng_for
-from subpot.inequalities import LHS_QUAD, _minimal_small_set_constant, _nevanlinna_lhs, _sup_log_kernel_norm
-from subpot.model import ln_abs
+from subpot.inequalities import LHS_QUAD, _log_moment, _maxima_integral, _minimal_small_set_constant, _sup_log_kernel_norm
+from subpot.model import canonicalize, ln_abs
 from subpot.quadrature import QuadratureSpec, integrate
 from subpot.search import grid_peaks
 
@@ -474,10 +475,29 @@ def test_growth_ratio_probe_entire_function():
     assert rep.ratio < 1.0
 
 
+def _nevanlinna_integral(f, r, spec=LHS_QUAD):
+    """``int_0^r ln+ M(t) dt`` and its error estimate, as ``nevanlinna_ratio`` computes them."""
+    return _maxima_integral(canonicalize(ln_abs(f)), "plus", IntervalSet(((0.0, r),)), (((0.0, r), (1.0,)),), spec)
+
+
+def _piecewise_quad(u, edges):
+    """scipy's adaptive quadrature of the plain maxima of ``u^+`` between neighbouring edges: (value, error)."""
+    total = total_err = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = scipy_quad(
+            lambda t: float(max_on_circles(u, np.array([t]), "plus")[0]), lo, hi, epsabs=1e-15, epsrel=1e-14, limit=400
+        )
+        total += val
+        total_err += err
+    return total, total_err
+
+
 def test_growth_ratio_spike_subtraction_matches_a_tight_reference():
     # Poles at the origin, inside (0, r] (two sharing one modulus, one on
     # |z| = r) and beyond r.  The subtracted integral must lie within its
-    # own error estimate of the plain maxima integral at a tight tolerance.
+    # own error estimate of the plain maxima integral, integrated by scipy
+    # between the pole moduli and the kinks.  The err is about 1e-11, so a
+    # reference 1000 times tighter would be below double rounding.
     r = 1.2
     f = RationalFunctionSpec(
         zeros=AtomicMeasure.from_pairs([(0.9 + 0.4j, 1.0), (-0.2 - 0.7j, 2.0)]),
@@ -486,13 +506,11 @@ def test_growth_ratio_spike_subtraction_matches_a_tight_reference():
         ),
         scale=1.7,
     )
-    val, err = _nevanlinna_lhs(f, r, LHS_QUAD)
+    val, err = _nevanlinna_integral(f, r)
     u = ln_abs(f)
-    hints = [float(x) for x in f.poles.moduli if x <= r] + [0.0]
-    ref, ref_err = integrate(
-        lambda ts: max_on_circles(u, ts, "plus"), 0.0, r, spec=QuadratureSpec(rel_tol=1e-11), hints=hints
-    )
-    assert ref_err < 1e-3 * err
+    edges = sorted({0.0, r, *(float(x) for x in f.poles.moduli if x <= r), *max_crossings(u, 0.0, r, "plus")})
+    ref, ref_err = _piecewise_quad(u, edges)
+    assert ref_err < 1e-2 * err
     assert abs(val - ref) <= err
 
 
@@ -506,7 +524,7 @@ def test_growth_ratio_finds_the_kink_beside_a_pole():
     cfg = SuiteConfig()
     inst = generate_instance("nevanlinna_ratio", rng_for(cfg.seed, "nevanlinna_ratio", 6)[0], cfg)
     f, r = rational_from_doc(inst.base_doc["f"]), inst.base_doc["r"]
-    val, err = _nevanlinna_lhs(f, r, LHS_QUAD)
+    val, err = _nevanlinna_integral(f, r)
     assert abs(val - 1.13199102095215) <= err
 
 
@@ -514,39 +532,90 @@ def test_growth_ratio_kink_of_the_reciprocal():
     # For f = 1/z the maxima are -ln t, which cross zero at t = 1 only, and
     # int_0^2 ln+(1/t) dt = 1.
     f = RationalFunctionSpec(poles=ORIGIN)
-    crossings = max_crossings(ln_abs(f), 2.0)
+    crossings = max_crossings(ln_abs(f), 0.0, 2.0, "plus")
     assert len(crossings) == 1 and abs(crossings[0] - 1.0) <= 1e-12
     assert abs(nevanlinna_ratio(f, 2.0, 2.0).lhs - 0.5) <= 1e-9
 
 
 def test_growth_ratio_finds_no_kink_where_the_maxima_stay_positive():
-    # |f| = 5 / (|z - 0.3| |z - 0.7i|) >= 5 / ((t + 0.3)(t + 0.7)) > 1 for t <= 1.5.
+    # |f| = 5 / (|z - 0.3| |z - 0.7i|) >= 5 / ((t + 0.3)(t + 0.7)) > 1 for t <= 1.5,
+    # so M never crosses zero.  Its only kink is the switch between the two
+    # pole peaks, where |t - 0.3| = |t - 0.7i|, at t = sqrt(0.21).  With one
+    # pole there is no kink at all.
     r = 1.5
     f = RationalFunctionSpec(poles=AtomicMeasure.from_pairs([(0.3, 1.0), (0.7j, 1.0)]), scale=5.0)
     u = ln_abs(f)
     assert np.all(max_on_circles(u, np.linspace(1e-3, r, 200)) > 0.0)
-    assert max_crossings(u, r) == []
+    kinks = max_crossings(u, 0.0, r, "plus")
+    assert len(kinks) == 1 and abs(kinks[0] - math.sqrt(0.21)) <= 1e-12
+    one_pole = RationalFunctionSpec(poles=AtomicMeasure.from_pairs([(0.3, 1.0)]), scale=5.0)
+    assert max_crossings(ln_abs(one_pole), 0.0, r, "plus") == []
 
 
 def test_growth_ratio_spike_term_at_the_origin_and_on_the_circle(monkeypatch):
-    # With the quadrature stubbed to 0, _nevanlinna_lhs returns minus the
-    # closed-form spike term alone.  Poles at rho = 0 and rho = r put 0 ln 0
-    # in both of its x ln x terms; scipy's xlogy defines it as 0.
+    # With the quadrature stubbed to 0, the integral is minus the closed-form
+    # spike terms alone: m times int ln|t - rho| over the segment between the
+    # edges next to rho.  Poles at rho = 0 and rho = r put 0 ln 0 at one end
+    # of their segments; scipy's xlogy defines it as 0.
     r = 1.3
     f = RationalFunctionSpec(poles=AtomicMeasure.from_pairs([(0j, 1.0), (r, 2.0), (-0.4j, 3.0)]))
-    monkeypatch.setattr(inequalities, "integrate", lambda *args, **kwargs: (0.0, 0.0))
-    _nevanlinna_lhs.cache_clear()
+    monkeypatch.setattr(inequalities, "integrate_weighted", lambda *args, **kwargs: (0.0, 0.0))
+    _maxima_integral.cache_clear()
     try:
-        val, err = _nevanlinna_lhs(f, r, LHS_QUAD)
+        val, err = _nevanlinna_integral(f, r)
     finally:
-        _nevanlinna_lhs.cache_clear()
+        _maxima_integral.cache_clear()
     rhos = [(abs(c), m) for c, m in f.poles.atoms]
     assert sorted(rho for rho, _ in rhos) == [0.0, 0.4, r]
-    spike = sum(m * (xlogy(r - rho, r - rho) + xlogy(rho, rho) - r) for rho, m in rhos)
-    assert err == 0.0
-    assert float(val).hex() == float(-spike).hex()
-    edges = [0.0, 5e-324, 1e-300, 0.4, 1.0, math.e, math.exp(700.0)]
-    assert [inequalities._xlogx(x).hex() for x in edges] == [float(xlogy(x, x)).hex() for x in edges]
+    edges = sorted({0.0, r, 0.4, *max_crossings(ln_abs(f), 0.0, r, "plus")})
+
+    def prim(x):
+        return xlogy(x, abs(x)) - x
+
+    terms = []
+    for rho, m in rhos:
+        i = edges.index(rho)
+        lo, hi = edges[max(i - 1, 0)], edges[min(i + 1, len(edges) - 1)]
+        terms.append(m * (prim(hi - rho) - prim(lo - rho)))
+    spike = sum(terms)
+    # Only the rounding floor of the subtraction is left in the error.
+    assert err == pytest.approx(inequalities._ROUNDING * sum(map(abs, terms)), rel=1e-14)
+    assert val == pytest.approx(-spike, rel=1e-14, abs=1e-15)
+    for x in [5e-324, 1e-300, 0.4, 1.0, math.e, math.exp(700.0)]:
+        assert _log_moment((1.0,), 0.0, 0.0, x) == pytest.approx(prim(x), rel=1e-14)
+        assert _log_moment((1.0,), x, 0.0, x) == pytest.approx(prim(x), rel=1e-14)
+
+
+def test_log_moment_matches_quadrature():
+    # int_a^b g(t) ln|t - rho| dt for random polynomials g, with rho inside
+    # [a, b] and on either end.
+    rng = np.random.default_rng(1606)
+    for _ in range(30):
+        coeffs = tuple(rng.uniform(-2.0, 2.0, int(rng.integers(1, 5))))
+        a = float(rng.uniform(-1.0, 1.0))
+        b = a + float(rng.uniform(0.01, 2.0))
+        for rho in (float(rng.uniform(a, b)), a, b):
+            ref, ref_err = scipy_quad(
+                lambda t: np.polynomial.polynomial.polyval(t, coeffs) * math.log(abs(t - rho)),
+                a, b, points=[rho] if a < rho < b else None, epsabs=1e-13, epsrel=1e-12, limit=200,
+            )
+            assert ref_err < 1e-11
+            assert _log_moment(coeffs, rho, a, b) == pytest.approx(ref, rel=1e-11, abs=1e-11)
+
+
+def test_growth_ratio_poles_sharing_a_modulus_subtract_one_spike():
+    # 1/(z^2 + 1) times a zero at 0.3 + 0.2i: both poles lie on |z| = 1, and
+    # the maxima grow like -ln|t - 1| there, one spike, not two.  Subtracting
+    # the spike of each pole left ln|t - 1| behind, and err was 2.2e-7.
+    r = 2.0
+    f = RationalFunctionSpec(
+        zeros=AtomicMeasure.from_pairs([(0.3 + 0.2j, 1.0)]), poles=AtomicMeasure.from_pairs([(1j, 1.0), (-1j, 1.0)])
+    )
+    val, err = _nevanlinna_integral(f, r)
+    assert err < 1e-9
+    u = ln_abs(f)
+    ref, _ = _piecewise_quad(u, sorted({0.0, 1.0, r, *max_crossings(u, 0.0, r, "plus")}))
+    assert abs(val - ref) <= err
 
 
 def test_small_intervals_probe_closed_instance():
@@ -561,16 +630,18 @@ def test_small_intervals_probe_closed_instance():
 def test_small_intervals_probe_at_r0_zero_uses_the_center_value():
     # At r0 = 0 the minus mean is max(-u(0), 0), with
     # u(0) = -0.2 + ln 0.5 + 0.7 ln|-1 + 0.5i| < 0; the values are pinned.
-    # The lhs at rel_tol = 1e-12 is 1.1879855787875353.
+    # The lhs at rel_tol = 1e-12 is 1.1879855787875353.  The spike of the
+    # atom at modulus |-1 + 0.5i| in E is subtracted, which leaves smooth
+    # panels, so the err is the rounding floor of the subtraction.
     e = IntervalSet.from_pairs([(1.0, 2.0)])
     g = Weight(pieces=(((1.0, 2.0), (1.0,)),), p=math.inf)
     u = SubharmonicPotential(AtomicMeasure.from_pairs([(0.5, 1.0), (complex(-1, 0.5), 0.7)]), -0.2)
-    for b, rhs, a_min in ((1.0, 14.765594483083946, 1.077525975877307), (0.5, 10.680413846075124, 1.0)):
+    for b, rhs, a_min in ((1.0, 14.765594483083946, 1.077525975659591), (0.5, 10.680413846075124, 1.0)):
         rep = small_intervals_ratio(u, e, g, 0.0, 1.0, 2.0, b)
-        assert rep.lhs == pytest.approx(1.1879855822422811, rel=1e-12)
+        assert rep.lhs == pytest.approx(1.1879855787875366, rel=1e-12)
         assert rep.rhs == pytest.approx(rhs, rel=1e-12)
         assert rep.params["a_min"] == pytest.approx(a_min, rel=1e-12)
-        assert rep.error_estimate == pytest.approx(9.691941179896091e-08, rel=1e-6)
+        assert rep.error_estimate == pytest.approx(1.3190592726952825e-14, rel=1e-6)
         assert abs(rep.lhs - 1.1879855787875353) <= rep.error_estimate
     # An atom at the origin makes u(0) = -inf, so the structure term is +inf.
     rep = small_intervals_ratio(U_LOG, e, g, 0.0, 1.0, 2.0, 0.5)
