@@ -47,6 +47,9 @@ _CIRCLE_GRID = 1024
 # One shared angular grid, read-only so no caller can change another's.
 _S_GRID = np.linspace(0.0, _TWO_PI, _CIRCLE_GRID, endpoint=False)
 _S_GRID.flags.writeable = False
+# Radii per grid pass: a chunk's grid holds atoms x radii x 1024 floats,
+# and 16 radii is about one quadrature panel's 15.
+_GRID_CHUNK = 16
 # Rounds of kink refinement: a root where a third branch leads splits its bracket.
 _KINK_ROUNDS = 3
 # Roots closer than this to a bracket end, relative, are dropped: far
@@ -202,17 +205,25 @@ def _polish(
 def _extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> tuple:
     """Maxima of ``sign * profile`` (one row per sign, one column per radius), their angles, and every polished peak.
 
-    One angular grid pass serves every sign.  Each grid peak is polished by
-    safeguarded Newton inside its two neighbouring cells, the peaks of all
-    signs and radii as one set of lanes, so a maximum never falls short of
-    its grid value.  The angle is the polished root of the winning peak, or
-    NaN on a circle without a grid peak, where the profile is constant.
-    The peaks come as ``(k, rows, cols, roots, refined)``: sign row, radius,
-    grid column, polished angle and value.
+    One angular grid pass serves every sign.  It runs in chunks of at most
+    ``_GRID_CHUNK`` radii, so a call with many radii (the first panels of a
+    whole weighted integral) holds one chunk's grid at a time; the peaks of
+    all chunks, signs and radii are then polished as one set of lanes, by
+    safeguarded Newton inside each peak's two neighbouring cells, so a
+    maximum never falls short of its grid value.  The angle is the polished
+    root of the winning peak, or NaN on a circle without a grid peak, where
+    the profile is constant.  The peaks come as ``(k, rows, cols, roots,
+    refined)``: sign row, radius, grid column, polished angle and value.
     """
     signs2 = np.repeat(signs[:, None], ts.size, axis=1)
-    vals, k, rows, cols = _grid_peaks(sampler, ts, signs2)
-    best = vals.max(axis=2)
+    best = np.empty(signs2.shape)
+    found = []
+    for i in range(0, ts.size, _GRID_CHUNK):
+        part = slice(i, i + _GRID_CHUNK)
+        vals, k, rows, cols = _grid_peaks(sampler, ts[part], signs2[:, part])
+        best[:, part] = vals.max(axis=2)
+        found.append((k, rows + i, cols))
+    k, rows, cols = (np.concatenate(x) for x in zip(*found)) if found else (np.empty(0, int),) * 3
     angles = np.full(best.shape, np.nan)
     roots, refined = _polish(sampler, ts, signs2, k, rows, cols)
     np.maximum.at(best, (k, rows), refined)
@@ -329,10 +340,10 @@ def max_crossings(v: FunctionLike, lo: float, hi: float, transform: str = "plus"
     winning branch changes: a zero crossing of ``M`` (``plus``), a sign
     change of ``M + m`` (``abs``, with ``m`` the circle minimum), or a
     switch between two peaks of one sign.  The winners are scanned at 32
-    radii, ``lo`` and ``hi`` included, in two calls of 16 (one quadrature
-    panel's footprint), and at each upward atom modulus in ``[lo, hi]``,
-    where the heaviest atom's spike wins.  Neighbours whose winners are
-    different branches (:func:`_brackets_kink`) bracket a kink, and
+    radii, ``lo`` and ``hi`` included, in one :func:`_extremes` call (two
+    grid chunks, one Newton polish), and at each upward atom modulus in
+    ``[lo, hi]``, where the heaviest atom's spike wins.  Neighbours whose
+    winners are different branches (:func:`_brackets_kink`) bracket a kink, and
     safeguarded Newton refines every bracket at once on ``g = P_a - P_b``,
     the gap between the two branches, each tracked by its nearest peak; by
     the envelope theorem ``P'`` is the profile's radial derivative at the
@@ -348,13 +359,11 @@ def max_crossings(v: FunctionLike, lo: float, hi: float, transform: str = "plus"
     # (-1 at a modulus, which has none).
     scan = np.linspace(lo, hi, 32)
     scan = scan[~np.isin(scan, list(spikes))]
-    half = scan[:16].size
-    parts = [_scan_winners(sampler, scan[:half], signs, 0), _scan_winners(sampler, scan[half:], signs, half)]
+    scan_sign, scan_angle, _, table = _scan_winners(sampler, scan, signs, 0)
     ts = np.concatenate([scan, list(spikes)])
-    sign = np.concatenate([parts[0][0], parts[1][0], [s for _, s, _ in spikes.values()]])
-    angle = np.concatenate([parts[0][1], parts[1][1], [a for _, _, a in spikes.values()]])
+    sign = np.concatenate([scan_sign, [s for _, s, _ in spikes.values()]])
+    angle = np.concatenate([scan_angle, [a for _, _, a in spikes.values()]])
     pid = np.concatenate([np.arange(scan.size), np.full(len(spikes), -1)])
-    table = _join_peaks(parts[0][3], parts[1][3])
 
     kinks: list[float] = []
     pairs = None

@@ -165,12 +165,21 @@ def _sanitize(obj):
     return obj
 
 
+def _dumps(clean: object) -> str:
+    return json.dumps(clean, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc: object) -> str:
-    return json.dumps(_sanitize(doc), sort_keys=True, separators=(",", ":"))
+    return _dumps(_sanitize(doc))
+
+
+def _digest(clean: dict) -> str:
+    """The fingerprint of an already sanitised document."""
+    return hashlib.sha256(_dumps(clean).encode()).hexdigest()[:16]
 
 
 def _fingerprint(doc: dict) -> str:
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
+    return _digest(_sanitize(doc))
 
 
 def _row_from_report(rep: BoundReport, subseed: int) -> dict:
@@ -643,8 +652,13 @@ def run_check(name: str, doc: dict, quad: Optional[QuadratureSpec] = None) -> Bo
     The report's ``instance_fingerprint`` is a hash of the document's
     canonical JSON; checkers called directly leave it empty.
     """
+    return _check(name, doc, quad, _sanitize(doc))
+
+
+def _check(name: str, doc: dict, quad: Optional[QuadratureSpec], clean: dict) -> BoundReport:
+    """:func:`run_check` on ``doc``, whose sanitised form ``clean`` the caller supplies."""
     rep = _spec(name).call(doc, quad)
-    return replace(rep, instance_fingerprint=_fingerprint(doc))
+    return replace(rep, instance_fingerprint=_digest(clean))
 
 
 # --- suite runner -----------------------------------------------------------
@@ -661,10 +675,12 @@ def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[
         ]
     rows: list[dict] = []
     failures: list[dict] = []
+    # The base document is the bulk of each combo's; sanitise it once.
+    base = _sanitize(inst.base_doc)
     for combo in inst.combos:
         doc = {**inst.base_doc, **combo}
         try:
-            rep = run_check(name, doc, quad=quad)
+            rep = _check(name, doc, quad, {**base, **_sanitize(combo)})
         except (QuadratureError, ValueError) as exc:
             # ValueError covers any instance a checker rejects; one bad
             # combo must not abort the suite.

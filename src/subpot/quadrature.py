@@ -22,7 +22,10 @@ abscissae and must return an array of values, which is only read.
 
 Each panel calls the integrand exactly once, on its 15 abscissae: the
 benchmark tracer counts panels as integrand calls and checks this against
-the calls of ``_panel_estimate``.
+the calls of ``_panel_estimate``.  The first panels depend only on the
+range, the hints and the breaks, so :func:`first_panel_nodes` gives their
+abscissae ahead of the integration, for a caller that evaluates an
+expensive integrand on them in one call.
 """
 
 from __future__ import annotations
@@ -134,10 +137,14 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
+def _panel_nodes(lo: float, hi: float) -> np.ndarray:
+    """The 15 Kronrod abscissae of the panel ``[lo, hi]``."""
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _XGK
+
+
 def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    xs = mid + half * _XGK
+    xs = _panel_nodes(a, b)
     ys = np.asarray(f(xs), dtype=float)
     if ys.shape != xs.shape:
         raise QuadratureError(f"integrand returned shape {ys.shape} for {xs.shape} abscissae in [{a!r}, {b!r}]")
@@ -194,6 +201,23 @@ def _initial_edges(a: float, b: float, hints: Iterable[float], breaks: Iterable[
     return sorted(graded)
 
 
+def _first_panels(a: float, b: float, hints: Iterable[float], breaks: Iterable[float]) -> list[tuple[float, float]]:
+    edges = _initial_edges(a, b, hints, breaks)
+    return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+
+
+def first_panel_nodes(a: float, b: float, hints: Iterable[float] = (), breaks: Iterable[float] = ()) -> np.ndarray:
+    """The abscissae of the first panels of ``integrate(f, a, b, hints=hints, breaks=breaks)``, one row per panel.
+
+    Those panels are fixed before any integrand value is known, so a caller
+    can evaluate an integrand on all of them at once; each row equals the
+    15 floats :func:`integrate` passes for its panel, bit for bit.  No rows
+    unless ``a < b``.
+    """
+    panels = _first_panels(a, b, hints, breaks) if b > a else []
+    return np.array([_panel_nodes(lo, hi) for lo, hi in panels]).reshape(-1, _XGK.size)
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -218,16 +242,13 @@ def integrate(
         return 0.0, 0.0
 
     singular = frozenset(map(float, hints))
-    edges = _initial_edges(a, b, singular, breaks)
 
     with np.errstate(divide="ignore"):
         heap: list[tuple[float, int, float, float, float, float]] = []
         counter = 0
         total = 0.0
         total_err = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi <= lo:
-                continue
+        for lo, hi in _first_panels(a, b, singular, breaks):
             val, err = _panel_estimate(f, lo, hi)
             total += val
             total_err += err

@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, first_panel_nodes, integrate
 
 _LP_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -168,13 +168,19 @@ def lp_norm(g: Weight, e: IntervalSet, quad: Optional[QuadratureSpec] = None) ->
         return 0.0
     if math.isinf(g.p):
         return g.sup_on(e)
+    return _lp_norm(g, e, quad or _LP_QUAD)
+
+
+# A unit sweeps p inside k or b, so each finite-p norm repeats once per k
+# or b; one unit needs at most one entry per (weight, p).
+@lru_cache(maxsize=16)
+def _lp_norm(g: Weight, e: IntervalSet, quad: QuadratureSpec) -> float:
+    """The finite-p branch of :func:`lp_norm`, keyed on the weight (pieces and p), the set and the spec."""
     total = 0.0
     for (a, b), coeffs in g.pieces:
         carr = np.asarray(coeffs)
         for lo, hi in e.intersect(a, b).intervals:
-            val, _ = integrate(
-                lambda t: np.maximum(npoly.polyval(t, carr), 0.0) ** g.p, lo, hi, spec=quad or _LP_QUAD
-            )
+            val, _ = integrate(lambda t: np.maximum(npoly.polyval(t, carr), 0.0) ** g.p, lo, hi, spec=quad)
             total += val
     return total ** (1.0 / g.p)
 
@@ -193,21 +199,33 @@ def integrate_weighted(
     range: singularities, graded toward, and kinks, which are plain panel
     edges.  The circle-maxima integrals pass only breaks, because they
     subtract each spike before integrating.
+
+    ``h`` runs once on the abscissae of every call's first panels together
+    (:func:`first_panel_nodes`), and once more per refined panel: each call
+    serves a first panel from that table, keyed on its exact abscissae, so
+    the result is the same as with ``h`` called panel by panel.
     """
-    if e.is_empty:
-        return 0.0, 0.0
     hints, breaks = tuple(hints), tuple(breaks)
+    parts = [(lo, hi, np.asarray(coeffs)) for (a, b), coeffs in g.pieces for lo, hi in e.intersect(a, b).intervals]
+    if not parts:
+        return 0.0, 0.0
+    table = np.concatenate([first_panel_nodes(lo, hi, hints, breaks) for lo, hi, _ in parts])
+    values = np.asarray(h(table.ravel()), float).reshape(table.shape)
+    first = {x.tobytes(): y for x, y in zip(table, values)}
+
+    def h_served(t: np.ndarray) -> np.ndarray:
+        y = first.get(t.tobytes())
+        return np.asarray(h(t), float) if y is None else y
+
     total = 0.0
     err = 0.0
-    for (a, b), coeffs in g.pieces:
-        carr = np.asarray(coeffs)
-        for lo, hi in e.intersect(a, b).intervals:
-            def fn(t: np.ndarray) -> np.ndarray:
-                return np.asarray(h(t), float) * np.maximum(npoly.polyval(t, carr), 0.0)
+    for lo, hi, carr in parts:
+        def fn(t: np.ndarray) -> np.ndarray:
+            return h_served(t) * np.maximum(npoly.polyval(t, carr), 0.0)
 
-            val, er = integrate(fn, lo, hi, spec=quad, hints=hints, breaks=breaks)
-            total += val
-            err += er
+        val, er = integrate(fn, lo, hi, spec=quad, hints=hints, breaks=breaks)
+        total += val
+        err += er
     return total, err
 
 

@@ -1,6 +1,7 @@
 """Circle means and maxima, counting integrals, and the two-radius characteristic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,6 +526,30 @@ def test_abs_maxima_share_the_grid_exactly():
         ts = rng.uniform(0.05, 5.0, 25)
         both = max_on_circles(U, ts, "abs")
         assert np.array_equal(both, np.maximum(np.abs(max_on_circles(U, ts, "id")), max_on_circles(U, ts, "minus")))
+
+
+def test_many_radii_take_the_grid_pass_in_chunks():
+    # The first panels of a whole weighted integral come as one call; its
+    # grid pass holds one chunk of radii at a time (all at once took 48 MB).
+    rng = np.random.default_rng(12)
+
+    def atoms():
+        z = rng.uniform(0.2, 2.0, 6) * np.exp(2j * np.pi * rng.random(6))
+        return [(complex(c), float(m)) for c, m in zip(z, rng.uniform(0.5, 2.0, 6))]
+
+    U = _delta(atoms(), atoms())
+    ts = np.linspace(0.01, 2.5, 450)
+    tracemalloc.start()
+    try:
+        got = max_on_circles(U, ts, "abs")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # Panel-sized calls polish in other Newton lane sets, which can move a
+    # sum of 8 or more atoms by rounding (see CircleSampler).
+    ref = np.concatenate([max_on_circles(U, ts[i : i + 15], "abs") for i in range(0, ts.size, 15)])
+    assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
 def test_nevanlinna_reciprocal_outside_unit_disc():

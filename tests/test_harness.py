@@ -379,6 +379,31 @@ def test_run_unit_computes_each_circle_characteristic_once(monkeypatch):
     assert _unit_calls("main_theorem_M", characteristics, "max_on_circles", monkeypatch) == k_count
 
 
+def test_run_unit_evaluates_the_maxima_first_panels_in_one_call(monkeypatch):
+    # integrate_weighted evaluates the circle maxima once on the first panels
+    # of every sub-interval; this unit refines none of them (4 calls when
+    # each panel made its own).
+    assert _unit_calls("main_theorem_T", inequalities, "max_on_circles", monkeypatch) == 1
+
+
+def test_clear_memos_clears_the_lp_norm_memo():
+    g = Weight(pieces=(((0.0, 1.0), (1.0, 1.0)),), p=2.0)
+    sets.lp_norm(g, IntervalSet.from_pairs([(0.2, 0.5)]))
+    assert sets._lp_norm.cache_info().currsize > 0
+    _clear_memos()
+    assert sets._lp_norm.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("name", ALL_CHECKERS)
+def test_unit_fingerprints_hash_the_whole_document(name):
+    cfg = SuiteConfig()
+    inst = generate_instance(name, rng_for(cfg.seed, name, 0)[0], cfg)
+    rows, failures = run_unit(name, 0, cfg)
+    assert failures == [] and len(rows) == len(inst.combos)
+    for row, combo in zip(rows, inst.combos):
+        assert json.loads(row["params_json"])["fingerprint"] == harness._fingerprint({**inst.base_doc, **combo})
+
+
 @pytest.mark.parametrize(
     "name", ["lemma1", "main_lemma", "main_theorem_T", "main_theorem_M", "nevanlinna_ratio", "small_intervals_ratio"]
 )

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gamma, gammaincc
 
 from subpot import QuadratureError, QuadratureSpec, integrate
+from subpot.quadrature import first_panel_nodes
 
 # 2*pi*I0(1), independently computed from scipy.special.i0.
 EXP_COS_CIRCLE = 7.954926521012844
@@ -234,3 +235,26 @@ def test_grading_never_samples_a_hint_next_to_a_close_edge(gap):
     exact = (2.0 - rho) * (1.0 - math.log(2.0 - rho)) + gap * (1.0 - math.log(gap))
     assert abs(val - exact) <= err
     assert all(first != rho != last for first, last in seen)
+
+
+@pytest.mark.parametrize(
+    "a,b,hints,breaks",
+    [
+        (0.0, 1.0, (), ()),
+        (0.1, 0.9, (0.1, 0.55), (0.3, 0.3, 2.0)),
+        (math.sqrt(1.25) - 1e-12, 2.0, (math.sqrt(1.25),), (1.7,)),
+    ],
+    ids=["plain", "hints-and-breaks", "close-edge"],
+)
+def test_first_panel_nodes_are_the_abscissae_integrate_samples_first(a, b, hints, breaks):
+    seen = []
+
+    def f(t):
+        seen.append(t.copy())
+        return -np.log(np.abs(t - 0.55)) + np.abs(t - 0.3)
+
+    integrate(f, a, b, QuadratureSpec(rel_tol=1e-12), hints=hints, breaks=breaks)
+    nodes = first_panel_nodes(a, b, hints, breaks)
+    assert nodes.shape[1] == 15 and len(seen) >= len(nodes) > 0
+    assert np.array(seen[: len(nodes)]).tobytes() == nodes.tobytes()
+    assert first_panel_nodes(b, b).shape == (0, 15)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import subpot.sets as sets
 from subpot import (
     IntervalSet,
     QuadratureSpec,
+    SuiteConfig,
     Weight,
     integrate,
     integrate_weighted,
@@ -15,6 +17,7 @@ from subpot import (
     random_interval_set,
     rearranged_majorant,
 )
+from subpot.quadrature import first_panel_nodes
 
 # Independently integrated profile 1/sqrt|t| on [0.2,0.4] u [0.6,0.8]
 # against twice its integral over [0, 0.2].
@@ -72,6 +75,66 @@ def test_integrate_weighted_linear_against_log():
     e = IntervalSet.from_pairs([(0.0, 1.0)])
     val, err = integrate_weighted(lambda t: np.log(1.0 / t), g, e, hints=[0.0])
     assert val == pytest.approx(0.25, rel=1e-9)
+
+
+def test_integrate_weighted_calls_h_once_plus_once_per_refined_panel():
+    # Two weight pieces over three intervals of E make four sub-integrals; a
+    # log spike and a kink inside them need refinement.
+    g = Weight(pieces=(((0.0, 0.5), (1.0, 2.0)), ((0.5, 1.0), (0.2, 0.0, 3.0))), p=math.inf)
+    e = IntervalSet.from_pairs([(0.05, 0.3), (0.4, 0.7), (0.8, 0.95)])
+    hints, breaks = (0.2,), (0.6, 0.85)
+
+    def h(t):
+        return -np.log(np.abs(t - 0.2)) + np.abs(t - 0.63) + np.sin(7.0 * t)
+
+    spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
+    calls = []
+    val, err = integrate_weighted(lambda t: calls.append(t.size) or h(t), g, e, quad=spec, hints=hints, breaks=breaks)
+
+    # The per-panel loop: one integrate call per piece and interval, with h
+    # evaluated panel by panel.
+    ref_val = ref_err = 0.0
+    first = refined = 0
+    for (a, b), coeffs in g.pieces:
+        for lo, hi in e.intersect(a, b).intervals:
+            seen = []
+
+            def fn(t):
+                seen.append(1)
+                return h(t) * np.maximum(np.polynomial.polynomial.polyval(t, coeffs), 0.0)
+
+            v, er = integrate(fn, lo, hi, spec=spec, hints=hints, breaks=breaks)
+            ref_val += v
+            ref_err += er
+            panels = len(first_panel_nodes(lo, hi, hints, breaks))
+            first += panels
+            refined += len(seen) - panels
+    assert (val, err) == (ref_val, ref_err)
+    assert refined > 0
+    assert calls == [15 * first] + [15] * refined
+
+
+def test_lp_norm_memo_serves_a_p_sweep_and_keys_on_the_spec():
+    e = IntervalSet.from_pairs([(0.1, 0.4), (0.6, 0.9)])
+    weights = [Weight(pieces=(((0.0, 1.0), (0.5, 0.0, 1.0)),), p=p) for p in (2.0, 3.0, 5.0)]
+    cold = []
+    for g in weights:
+        sets._lp_norm.cache_clear()
+        cold.append(lp_norm(g, e))
+    sets._lp_norm.cache_clear()
+    # A sweep of p inside an outer loop (k or b in a unit) integrates each norm once.
+    for _ in range(3):
+        assert [lp_norm(g, e) for g in weights] == cold
+    info = sets._lp_norm.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+    # Each norm equals the integral it is made of.
+    for g, norm in zip(weights, cold):
+        total = sum(integrate(lambda t: (0.5 + t * t) ** g.p, lo, hi, sets._LP_QUAD)[0] for lo, hi in e.intervals)
+        assert norm == total ** (1.0 / g.p)
+    # The spec that `subpot suite --tol 1e-3` passes gets entries of its own.
+    loose = SuiteConfig(quad_rel_tol=1e-3).quad_override()
+    assert [lp_norm(g, e, loose) for g in weights] == [lp_norm(g, e, loose) for g in weights]
+    assert sets._lp_norm.cache_info().misses == 6
 
 
 def test_holder_inequality_sanity():
