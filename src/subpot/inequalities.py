@@ -193,15 +193,17 @@ def log_kernel_norm(
 ) -> tuple[float, float]:
     """L^q(E) norm of t -> ln(2R/|t - x|) by quadrature; returns (norm, error_estimate).
 
-    The closed form ``_log_kernel_power_integral(e, x, R, q) ** (1/q)`` is
-    its oracle in the tests; the kernel-norm sup evaluates that closed form.
+    The integral runs in the distance ``y = |t - x|``, one span per side of
+    ``x`` in each interval of ``E``.  A span that starts at ``y = 0`` (``x``
+    inside the interval or on its end) holds the singular tip and passes
+    ``hints=[0.0]``, which :func:`integrate` takes by a power substitution
+    that clusters its nodes at ``y = 0``; every other span is regular.  The
+    closed form ``_log_kernel_power_integral(e, x, R, q) ** (1/q)`` is its
+    oracle in the tests; the kernel-norm sup evaluates that closed form.
     """
     _require(q >= 1, "need q >= 1")
     _require(R > 0, "need R > 0")
 
-    # Integrate in distance coordinates y = |t - x|: floats stay dense near
-    # y = 0, so bisection can chase the integrable singularity far below the
-    # t-space resolution limit around x itself.
     def kernel_pow(y: np.ndarray) -> np.ndarray:
         return np.log(2 * R / y) ** q
 
@@ -209,7 +211,6 @@ def log_kernel_norm(
     for alpha, beta in e.intervals:
         d_a, d_b = abs(x - alpha), abs(x - beta)
         spans += [(0.0, d_a), (0.0, d_b)] if alpha < x < beta else [(min(d_a, d_b), max(d_a, d_b))]
-    floor = 2 * R * 1e-25
     total = 0.0
     err = 0.0
     for d1, d2 in spans:
@@ -217,13 +218,7 @@ def log_kernel_norm(
             raise ValueError("set reaches beyond kernel range 2R")
         if d2 <= d1:
             continue
-        if d1 < floor:
-            # Truncated singular tip, bounded by y * ln^q(2R/y) at the floor.
-            err += floor * math.log(2 * R / floor) ** q
-            d1 = floor
-            if d2 <= d1:
-                continue
-        val, er = integrate(kernel_pow, d1, d2, spec=quad, hints=[d1])
+        val, er = integrate(kernel_pow, d1, d2, spec=quad, hints=[0.0] if d1 == 0.0 else [])
         total += val
         err += er
     if total <= 0.0:

@@ -1,24 +1,44 @@
-"""Adaptive panel quadrature tolerant of integrable logarithmic singularities.
+"""Adaptive panel quadrature tolerant of integrable endpoint singularities.
 
 A fixed 15-point Gauss-Kronrod rule is applied per panel and the worst
 panel is split until the summed error estimate meets the requested
 tolerance.  Two kinds of known abscissae become mandatory panel edges:
 
-* ``hints`` are integrable singularities.  Each is graded toward a priori
-  (edges at ``_GRADE_RATIO**j`` of the distance to the neighbouring edge),
-  and a worst panel with an end on a hint splits at ``_GRADE_RATIO`` of its
-  width from that end, which continues the geometric grading.
+* ``hints`` are integrable singularities.  A hint at the origin is
+  integrated by the substitution ``t = e * s**_POWER``, ``s`` in
+  ``[0, 1]``, on each side of it, where ``e`` is the neighbouring edge:
+  the nodes cluster polynomially at ``t = 0`` and the Jacobian
+  ``_POWER * |e| * s**(_POWER - 1)`` tames the singularity, so a panel
+  next to it shrinks by ``2**_POWER`` per bisection (P. J. Davis and
+  P. Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984).
+  Any other hint is graded toward a priori (edges at ``_GRADE_RATIO**j``
+  of the distance to the neighbouring edge), and a worst panel with an end
+  on it splits at ``_GRADE_RATIO`` of its width from that end, which
+  continues the geometric grading.
 * ``breaks`` are kinks, where the integrand is smooth on each side.  They
   are plain edges: no grading, and their panels bisect like any other.
 
-A panel is split only when the outer Kronrod nodes of both children, as
-``_panel_estimate`` computes them, lie strictly inside those children; a
-panel that cannot be split that way is accepted at floating-point
-resolution.  Grading toward a hint stops before the same point.  The open
-rule therefore never samples the end of a panel it makes, and so never a
-hint; only given edges closer than about 120 ulps make a first panel that
-does.  Integrands are called with a numpy array of
-abscissae and must return an array of values, which is only read.
+Why two treatments: floats are dense near 0, so ``e * s**_POWER`` stays
+apart from 0 down to ``s`` of about 1e-32.  Near any other hint ``h`` they
+are not: ``h + d * s**_POWER`` rounds onto ``h`` as soon as
+``d * s**_POWER`` falls below half an ulp of ``h``, and the inner node of
+the first mapped panel (``s = 0.0043``) is already there for ``|d|``
+below about ``5e7 * |h|``, so a map there would sample the singular point.
+Off the origin the geometric grading keeps every node apart from ``h``
+down to the resolution limit below.
+
+Mapped and plain panels share one heap, one panel budget and one
+tolerance test.  A plain panel is split only when the outer Kronrod nodes
+of both children, as ``_panel_estimate`` computes them, lie strictly
+inside those children; a panel that cannot be split that way is accepted
+at floating-point resolution.  Grading toward a hint stops before the same
+point.  A mapped panel is bisected in ``s`` under the same rule, and is
+also accepted once its inner child's first abscissa would underflow to
+``t = 0``.  The open rule therefore never samples the end of a panel it
+makes, and so never a hint; only given edges closer than about 120 ulps to
+a hint off the origin make a first panel that does.  Integrands are called
+with a numpy array of abscissae (in ``t``) and must return an array of
+values, which is only read.
 
 Each panel calls the integrand exactly once, on its 15 abscissae: the
 benchmark tracer counts panels as integrand calls and checks this against
@@ -96,6 +116,14 @@ _GRADE_RATIO = 0.125
 _GRADE_LEVELS = 6
 _GRADES = tuple(_GRADE_RATIO**j for j in range(1, _GRADE_LEVELS + 1))
 
+# Power of the substitution t = e * s**_POWER beside a hint at the origin,
+# fixed by measurement.  On 300 seeded units each of lemma3, lemma4 and
+# lemma_a the powers 6, 8, 10 and 12 took 8,832, 6,508, 5,774 and 5,634
+# panels, and CPU time fell from 6 to 10 and was level beyond.  With 10,
+# |t|^(-kappa) becomes a bounded s^(9 - 10 kappa) up to kappa = 0.9; t
+# underflows for s below about 1e-32.
+_POWER = 10
+
 # Outermost Kronrod node, as a fraction of the half-width.
 _X_OUTER = float(_XGK[-1])
 # Above this width, relative to |lo| + |hi| (plus an absolute floor below
@@ -142,17 +170,31 @@ def _panel_nodes(lo: float, hi: float) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _XGK
 
 
-def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
+def _abscissae(lo: float, hi: float, e: float | None) -> np.ndarray:
+    """The 15 abscissae in ``t`` of a panel: plain, or ``[lo, hi]`` in ``s`` of ``t = e * s**_POWER``."""
+    xs = _panel_nodes(lo, hi)
+    return xs if e is None else e * xs**_POWER
+
+
+def _panel_estimate(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, e: float | None = None
+) -> tuple[float, float]:
+    """Kronrod value and error of one panel; ``[a, b]`` is in ``s`` of ``t = e * s**_POWER`` unless ``e`` is None."""
     half = 0.5 * (b - a)
     xs = _panel_nodes(a, b)
-    ys = np.asarray(f(xs), dtype=float)
+    # The expression of _abscissae, so first_panel_nodes gives these bits.
+    ts = xs if e is None else e * xs**_POWER
+    ys = np.asarray(f(ts), dtype=float)
     if ys.shape != xs.shape:
         raise QuadratureError(f"integrand returned shape {ys.shape} for {xs.shape} abscissae in [{a!r}, {b!r}]")
+    if e is not None:
+        ys = ys * (_POWER * abs(e)) * xs ** (_POWER - 1)
     s15 = float(_WGK.dot(ys))
     # Every Kronrod weight is positive, so any inf or NaN sample makes s15
     # non-finite; finite samples whose sum merely overflows do not raise.
     if not math.isfinite(s15) and not np.isfinite(ys).all():
-        raise QuadratureError(f"non-finite integrand sample in [{a!r}, {b!r}]")
+        where = f"[{a!r}, {b!r}]" if e is None else f"[{a!r}, {b!r}] of t = {e!r} * s**{_POWER}"
+        raise QuadratureError(f"non-finite integrand sample in {where}")
     k15 = half * s15
     g7 = half * float(_WG.dot(ys[1::2]))
     raw = abs(k15 - g7)
@@ -184,12 +226,14 @@ def _resolved_cut(lo: float, cut: float, hi: float) -> float | None:
 def _initial_edges(a: float, b: float, hints: Iterable[float], breaks: Iterable[float]) -> list[float]:
     inner = sorted({float(h) for h in hints if a <= h <= b})
     base = sorted({a, b, *inner, *(float(x) for x in breaks if a <= x <= b)})
-    # Geometric grading toward every hint (endpoints included when hinted)
-    # from each neighbouring edge; a side without one adds only h itself.
-    # Grading stops at the first level whose panel on h would be sampled
-    # at h itself, which happens only near floating-point resolution.
+    # Geometric grading toward every hint off the origin (endpoints included
+    # when hinted) from each neighbouring edge; a side without one adds only
+    # h itself.  Grading stops at the first level whose panel on h would be
+    # sampled at h itself, which happens only near floating-point resolution.
     graded: set[float] = set(base)
     for h in inner:
+        if h == 0.0:
+            continue
         i = base.index(h)
         for far in base[i - 1 : i] + base[i + 1 : i + 2]:
             d = far - h
@@ -201,9 +245,27 @@ def _initial_edges(a: float, b: float, hints: Iterable[float], breaks: Iterable[
     return sorted(graded)
 
 
-def _first_panels(a: float, b: float, hints: Iterable[float], breaks: Iterable[float]) -> list[tuple[float, float]]:
+def _first_panels(
+    a: float, b: float, hints: Iterable[float], breaks: Iterable[float]
+) -> list[tuple[float, float, float | None]]:
+    """``(lo, hi, e)`` per first panel: plain ``[lo, hi]`` with ``e`` None, or ``[0, 1]`` in ``s`` of ``t = e * s**_POWER``.
+
+    A panel with an end on a hint at the origin is mapped, unless its
+    abscissae would underflow to ``t = 0`` (an edge below about 1e-300);
+    then it stays plain and refines toward the origin by grading.
+    """
+    hints = frozenset(map(float, hints))
+    panels: list[tuple[float, float, float | None]] = []
     edges = _initial_edges(a, b, hints, breaks)
-    return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi <= lo:
+            continue
+        e = hi if lo == 0.0 else lo if hi == 0.0 else None
+        if e is not None and 0.0 in hints and _abscissae(0.0, 1.0, e)[0] != 0.0:
+            panels.append((0.0, 1.0, e))
+        else:
+            panels.append((lo, hi, None))
+    return panels
 
 
 def first_panel_nodes(a: float, b: float, hints: Iterable[float] = (), breaks: Iterable[float] = ()) -> np.ndarray:
@@ -215,7 +277,7 @@ def first_panel_nodes(a: float, b: float, hints: Iterable[float] = (), breaks: I
     unless ``a < b``.
     """
     panels = _first_panels(a, b, hints, breaks) if b > a else []
-    return np.array([_panel_nodes(lo, hi) for lo, hi in panels]).reshape(-1, _XGK.size)
+    return np.array([_abscissae(lo, hi, e) for lo, hi, e in panels]).reshape(-1, _XGK.size)
 
 
 def integrate(
@@ -228,8 +290,10 @@ def integrate(
 ) -> tuple[float, float]:
     """Integrate ``f`` over ``[a, b]``; returns ``(value, error_estimate)``.
 
-    ``hints`` marks abscissae of integrable singularities, which are graded
-    and refined toward; ``breaks`` marks kinks, which only become panel
+    ``hints`` marks abscissae of integrable singularities: a hint at
+    ``0.0`` is integrated by the substitution ``t = e * s**_POWER`` on each
+    side of it, and any other hint is graded and refined toward (the module
+    docstring says why).  ``breaks`` marks kinks, which only become panel
     edges.  ``f`` runs with numpy's divide-by-zero warning off.  Raises
     :class:`QuadratureError` when ``spec.max_panels`` is exhausted before the
     tolerance ``max(abs_tol, rel_tol * |value|)`` is met.
@@ -244,15 +308,16 @@ def integrate(
     singular = frozenset(map(float, hints))
 
     with np.errstate(divide="ignore"):
-        heap: list[tuple[float, int, float, float, float, float]] = []
+        # (-err, counter, lo, hi, e, val, err); e is None for a plain panel.
+        heap: list[tuple] = []
         counter = 0
         total = 0.0
         total_err = 0.0
-        for lo, hi in _first_panels(a, b, singular, breaks):
-            val, err = _panel_estimate(f, lo, hi)
+        for lo, hi, e in _first_panels(a, b, singular, breaks):
+            val, err = _panel_estimate(f, lo, hi, e)
             total += val
             total_err += err
-            heapq.heappush(heap, (-err, counter, lo, hi, val, err))
+            heapq.heappush(heap, (-err, counter, lo, hi, e, val, err))
             counter += 1
 
         abs_tol, rel_tol, max_panels = spec.abs_tol, spec.rel_tol, spec.max_panels
@@ -265,26 +330,29 @@ def integrate(
                 )
             # The (-err, counter) keys are unique, so the order in which panels
             # come off the heap does not depend on how the heap is updated.
-            _, _, lo, hi, val, err = heap[0]
-            if lo in singular:
+            _, _, lo, hi, e, val, err = heap[0]
+            if e is None and lo in singular:
                 cut = lo + _GRADE_RATIO * (hi - lo)
-            elif hi in singular:
+            elif e is None and hi in singular:
                 cut = hi - _GRADE_RATIO * (hi - lo)
             else:
                 cut = 0.5 * (lo + hi)
             if hi - lo <= _SAFE_WIDTH * (abs(lo) + abs(hi)) + _SAFE_FLOOR:
                 cut = _resolved_cut(lo, cut, hi)
-                if cut is None:
-                    # Panel is at floating-point resolution; accept its estimate.
-                    heapq.heapreplace(heap, (0.0, counter, lo, hi, val, err))
-                    counter += 1
-                    continue
-            v1, e1 = _panel_estimate(f, lo, cut)
-            v2, e2 = _panel_estimate(f, cut, hi)
+            # A mapped panel on s = 0 stops where its inner child would sample t = 0.
+            if cut is not None and lo == 0.0 and e is not None and _abscissae(lo, cut, e)[0] == 0.0:
+                cut = None
+            if cut is None:
+                # Panel is at floating-point resolution; accept its estimate.
+                heapq.heapreplace(heap, (0.0, counter, lo, hi, e, val, err))
+                counter += 1
+                continue
+            v1, e1 = _panel_estimate(f, lo, cut, e)
+            v2, e2 = _panel_estimate(f, cut, hi, e)
             total += v1 + v2 - val
             total_err += e1 + e2 - err
-            heapq.heapreplace(heap, (-e1, counter, lo, cut, v1, e1))
-            heapq.heappush(heap, (-e2, counter + 1, cut, hi, v2, e2))
+            heapq.heapreplace(heap, (-e1, counter, lo, cut, e, v1, e1))
+            heapq.heappush(heap, (-e2, counter + 1, cut, hi, e, v2, e2))
             counter += 2
 
     return total, total_err

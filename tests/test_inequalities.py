@@ -247,6 +247,27 @@ def test_log_kernel_norm_routes_agree_randomized():
         assert norms == pytest.approx([_closed_kernel_norm(e, float(t), R, q) for t in xs], rel=1e-14)
 
 
+@pytest.mark.parametrize("R,q", [(1.3, 2.5), (0.65, 1.0), (5.0, 4.0)])
+@pytest.mark.parametrize(
+    "x",
+    [0.3, 0.1, 0.5, 0.9, 0.5 - 1e-9, 0.0, 0.7, 0.5 + 1e-9],
+    ids=["inside", "left-end", "right-end", "second-left-end", "just-inside", "outside", "gap", "just-outside"],
+)
+def test_log_kernel_norm_is_within_its_err_of_the_closed_form(x, R, q, monkeypatch):
+    # x inside an interval or on its end puts the singular tip at y = 0,
+    # which integrate takes by its power substitution; every other span is
+    # regular.  The tabulated Kronrod weights carry 15 significant digits,
+    # so even an exact panel is off by a few 1e-15 relative.
+    e = IntervalSet.from_pairs([(0.1, 0.5), (0.9, 1.2)])
+    norm, err = log_kernel_norm(e, x, R, q)
+    closed = _closed_kernel_norm(e, x, R, q)
+    assert abs(norm - closed) <= err + 1e-14 * closed
+    # The err is the quadrature's alone: no truncated tip is added to it.
+    exact = inequalities.integrate
+    monkeypatch.setattr(inequalities, "integrate", lambda *a, **k: (exact(*a, **k)[0], 0.0))
+    assert log_kernel_norm(e, x, R, q) == (norm, 0.0)
+
+
 def test_sup_log_kernel_norm_dominates_samples():
     rng = np.random.default_rng(616)
     e = IntervalSet.from_pairs([(0.2, 0.7), (1.1, 1.4)])

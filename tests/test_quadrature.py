@@ -139,7 +139,7 @@ def test_integrand_result_arrays_are_left_unchanged():
     "f,a,b,hints,value,err",
     [
         (lambda s: np.exp(np.cos(s)), 0.0, 2.0 * math.pi, (), "0x1.fd1d842075548p+2", "0x1.5d79396df801dp-28"),
-        (lambda t: np.log(1.0 / t), 0.0, 1.0, (0.0,), "0x1.ffffffffff8fcp-1", "0x1.7273bcc091eaap-31"),
+        (lambda t: np.log(1.0 / t), 0.0, 1.0, (0.0,), "0x1.fffffffffffc6p-1", "0x1.0aa486481072dp-31"),
         (lambda t: np.sqrt(np.abs(t - 0.3)), 0.0, 1.0, (), "0x1.fffc4ae482547p-2", "0x1.1275ba3956528p-31"),
     ],
     ids=["smooth", "log_hint", "sqrt_kink"],
@@ -200,8 +200,9 @@ def test_log_power_refines_toward_the_hinted_end():
     g, seen = _counted(lambda x: np.log(A / x) ** q)
     val, err = integrate(g, 0.0, a, QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13), hints=[0.0])
     assert abs(val - exact) <= err
-    # Bisecting the singular panel took 83 panels.
-    assert len(seen) == 59
+    # The substitution at the origin takes 5 panels; geometric grading
+    # toward the hinted end took 59.
+    assert len(seen) == 5
 
 
 @pytest.mark.parametrize(
@@ -243,8 +244,9 @@ def test_grading_never_samples_a_hint_next_to_a_close_edge(gap):
         (0.0, 1.0, (), ()),
         (0.1, 0.9, (0.1, 0.55), (0.3, 0.3, 2.0)),
         (math.sqrt(1.25) - 1e-12, 2.0, (math.sqrt(1.25),), (1.7,)),
+        (-0.4, 0.9, (0.0, 0.55), (0.3,)),
     ],
-    ids=["plain", "hints-and-breaks", "close-edge"],
+    ids=["plain", "hints-and-breaks", "close-edge", "origin"],
 )
 def test_first_panel_nodes_are_the_abscissae_integrate_samples_first(a, b, hints, breaks):
     seen = []
@@ -258,3 +260,84 @@ def test_first_panel_nodes_are_the_abscissae_integrate_samples_first(a, b, hints
     assert nodes.shape[1] == 15 and len(seen) >= len(nodes) > 0
     assert np.array(seen[: len(nodes)]).tobytes() == nodes.tobytes()
     assert first_panel_nodes(b, b).shape == (0, 15)
+    if 0.0 in hints:
+        # The mapped panels beside the origin cluster their nodes there.
+        assert 0.0 < np.abs(nodes).min() < 1e-18
+
+
+# --- the power substitution at a hint on the origin ---------------------------
+
+# The tabulated Kronrod weights carry 15 significant digits (they sum to
+# 2 - 6e-15), so a panel whose integrand is a polynomial in s reports an
+# error far below its true one; allow for that relative floor.
+_WEIGHT_FLOOR = 1e-14
+
+
+def _power_integral(kappa, a, b):
+    """Exact integral of |t|^(-kappa) over [a, b], for a <= 0 <= b."""
+    return (abs(a) ** (1.0 - kappa) + b ** (1.0 - kappa)) / (1.0 - kappa)
+
+
+@pytest.mark.parametrize(
+    "kappa,a,b,panels",
+    [
+        (0.1, 0.0, 0.7, 1),
+        (0.1, -0.7, 0.0, 1),
+        (0.1, -0.3, 0.7, 2),
+        (0.5, 0.0, 0.7, 1),
+        (0.5, -0.7, 0.0, 1),
+        (0.5, -0.3, 0.7, 2),
+        (0.85, 0.0, 0.7, 45),
+        (0.85, -0.7, 0.0, 45),
+        (0.85, -0.3, 0.7, 88),
+    ],
+)
+def test_power_singularity_at_the_origin_by_substitution(kappa, a, b, panels):
+    g, seen = _counted(lambda t: np.abs(t) ** -kappa)
+    val, err = integrate(g, a, b, QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13), hints=(0.0,))
+    exact = _power_integral(kappa, a, b)
+    assert abs(val - exact) <= err + _WEIGHT_FLOOR * exact
+    assert len(seen) == panels
+
+
+@pytest.mark.parametrize(
+    "q,A,a,panels",
+    [(1.0, 1.0, 0.3, 3), (2.5, 3.0, 0.7, 5), (4.0, 2.0, 0.05, 5), (3.7, 50.0, 0.02, 3)],
+)
+def test_log_power_at_the_origin_by_substitution(q, A, a, panels):
+    # int_0^a ln^q(A/x) dx = A * Gamma(q + 1, ln(A/a)).
+    g, seen = _counted(lambda x: np.log(A / x) ** q)
+    val, err = integrate(g, 0.0, a, QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13), hints=(0.0,))
+    exact = A * gammaincc(q + 1.0, math.log(A / a)) * gamma(q + 1.0)
+    assert abs(val - exact) <= err + _WEIGHT_FLOOR * exact
+    assert len(seen) == panels
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 0.0), (-0.3, 2.0), (0.0, 1e-200), (-1e-305, 0.0)])
+def test_substitution_never_samples_the_origin(a, b):
+    # Refinement at the tightest tolerances runs the panel on s = 0 down
+    # to where its nodes would underflow; there it is accepted, not split.
+    # A range so short that even the first mapped panel would underflow
+    # stays a plain panel graded toward the origin.
+    samples = []
+
+    def f(t):
+        samples.append(t.copy())
+        return np.abs(t) ** -0.95
+
+    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_panels=4096)
+    try:
+        val, err = integrate(f, a, b, spec, hints=(0.0,))
+        assert math.isfinite(val) and math.isfinite(err)
+    except QuadratureError as exc:
+        assert "budget" in str(exc)
+    ts = np.concatenate(samples)
+    assert len(samples) > 1 and np.all(ts != 0.0) and np.all((a <= ts) & (ts <= b))
+
+
+def test_budget_exhaustion_with_the_substitution_carries_best_estimate():
+    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-15, max_panels=8)
+    with pytest.raises(QuadratureError, match="budget") as exc:
+        integrate(lambda t: np.abs(t) ** -0.95, -1.0, 1.0, spec, hints=(0.0,))
+    assert exc.value.value == pytest.approx(40.0, rel=0.1)
+    assert 0.0 < exc.value.error_estimate < math.inf
