@@ -33,7 +33,6 @@ from .inequalities import (
     main_theorem_T,
     nevanlinna_ratio,
     pjp_identity_check,
-    scipy_special,
     small_intervals_ratio,
 )
 from .model import (
@@ -165,21 +164,35 @@ def _sanitize(obj):
     return obj
 
 
+# What json.dumps(..., sort_keys=True, separators=(",", ":")) builds on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dumps(clean: object) -> str:
-    return json.dumps(clean, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(clean)
 
 
 def canonical_json(doc: object) -> str:
     return _dumps(_sanitize(doc))
 
 
-def _digest(clean: dict) -> str:
-    """The fingerprint of an already sanitised document."""
-    return hashlib.sha256(_dumps(clean).encode()).hexdigest()[:16]
+def _json_members(clean: dict) -> dict[str, str]:
+    """The ``"key":value`` members of ``_dumps(clean)``, by key."""
+    return {key: _dumps({key: value})[1:-1] for key, value in clean.items()}
+
+
+def _json_object(members: dict[str, str]) -> str:
+    """``_dumps`` of the sanitised document whose :func:`_json_members` are ``members``."""
+    return "{" + ",".join(members[key] for key in sorted(members)) + "}"
+
+
+def _digest(text: str) -> str:
+    """The fingerprint of a document from its canonical JSON."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _fingerprint(doc: dict) -> str:
-    return _digest(_sanitize(doc))
+    return _digest(canonical_json(doc))
 
 
 def _row_from_report(rep: BoundReport, subseed: int) -> dict:
@@ -506,7 +519,10 @@ def _profile_fn(doc: dict, a: float) -> Callable[[np.ndarray], np.ndarray]:
             raise ValueError(f"power profile needs kappa < 1 to be integrable at 0, got {kappa!r}")
 
         def power_profile(t: np.ndarray) -> np.ndarray:
-            return np.asarray(t, float) ** (-kappa)
+            # Next to 0 the power overflows to inf; the quadrature reports
+            # that non-finite sample itself.
+            with np.errstate(over="ignore"):
+                return np.asarray(t, float) ** (-kappa)
 
         return power_profile
     raise ValueError(f"unknown profile family {family!r}")
@@ -652,13 +668,13 @@ def run_check(name: str, doc: dict, quad: Optional[QuadratureSpec] = None) -> Bo
     The report's ``instance_fingerprint`` is a hash of the document's
     canonical JSON; checkers called directly leave it empty.
     """
-    return _check(name, doc, quad, _sanitize(doc))
+    return _check(name, doc, quad, _fingerprint(doc))
 
 
-def _check(name: str, doc: dict, quad: Optional[QuadratureSpec], clean: dict) -> BoundReport:
-    """:func:`run_check` on ``doc``, whose sanitised form ``clean`` the caller supplies."""
+def _check(name: str, doc: dict, quad: Optional[QuadratureSpec], fingerprint: str) -> BoundReport:
+    """:func:`run_check` on ``doc``, whose fingerprint the caller supplies."""
     rep = _spec(name).call(doc, quad)
-    return replace(rep, instance_fingerprint=_digest(clean))
+    return replace(rep, instance_fingerprint=fingerprint)
 
 
 # --- suite runner -----------------------------------------------------------
@@ -675,12 +691,13 @@ def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[
         ]
     rows: list[dict] = []
     failures: list[dict] = []
-    # The base document is the bulk of each combo's; sanitise it once.
-    base = _sanitize(inst.base_doc)
+    # The base document is the bulk of each combo's; dump its members once.
+    base = _json_members(_sanitize(inst.base_doc))
     for combo in inst.combos:
         doc = {**inst.base_doc, **combo}
         try:
-            rep = _check(name, doc, quad, {**base, **_sanitize(combo)})
+            fingerprint = _digest(_json_object({**base, **_json_members(_sanitize(combo))}))
+            rep = _check(name, doc, quad, fingerprint)
         except (QuadratureError, ValueError) as exc:
             # ValueError covers any instance a checker rejects; one bad
             # combo must not abort the suite.
@@ -739,9 +756,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteResult:
     if cfg.jobs > 1 and len(units) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # Forked workers inherit the parent's modules: loading scipy.special
-        # here saves each worker importing it again on every suite call.
-        scipy_special()
         # Executor.map yields in submission order, so rows keep unit order.
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(run_unit, *zip(*units), repeat(cfg), chunksize=4))

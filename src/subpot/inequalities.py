@@ -11,11 +11,10 @@ the kinks of the maxima.  Right-hand sides combine closed forms, circle
 means and norms.  ``holds()`` compares the sides with a margin built from
 the accumulated quadrature error estimates.
 
-``scipy.special`` is imported on first use, through :func:`scipy_special`:
-only ``lemma1``'s kernel-norm sup (the incomplete gamma function) and
-``small_intervals_ratio``'s Lambert W need it, and the import costs about
-as much start-up time as numpy.  ``harness.run_suite`` loads it before its
-process pool forks, so the workers inherit it.
+The two special functions the bounds need are computed here, from numpy
+and :mod:`math`: the upper incomplete gamma function of the kernel norm's
+closed form (:func:`_upper_gamma`) and the principal Lambert W of the
+smallest small-set constant (:func:`_lambert_w0`).
 """
 
 from __future__ import annotations
@@ -61,15 +60,10 @@ MEAN_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
 NORM_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
 
 _SUP_GRID = 256
-_ROUNDING = 50.0 * float(np.finfo(float).eps)
-
-
-@lru_cache(maxsize=1)
-def scipy_special():
-    """``scipy.special``, imported on the first call (see the module docstring)."""
-    import scipy.special
-
-    return scipy.special
+_EPS = float(np.finfo(float).eps)
+_ROUNDING = 50.0 * _EPS
+# Newton for the Lambert W needs at most six steps from ln(1 + c).
+_W_ITERS = 20
 
 
 def _safe_ratio(lhs: float, rhs: float) -> float:
@@ -161,31 +155,71 @@ def lemma3_check(
 
 # --- L^q norm of the shifted log kernel -----------------------------------
 
-def _log_kernel_primitive(y: np.ndarray, R: float, q: float) -> np.ndarray:
-    """Exact integral of ln^q(2R/u) over u in [0, y] (0 <= y <= 2R)."""
-    y = np.asarray(y, float)
-    if np.any(y < -1e-12) or np.any(y > 2 * R * (1 + 1e-12)):
-        raise ValueError("kernel distance out of range [0, 2R]")
-    y = np.clip(y, 0.0, 2 * R)
+def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """``Γ(a, x)``, the integral of ``t^(a-1) e^-t`` over ``[x, inf)``, for ``a >= 2`` and each ``x`` in ``[0, inf]``.
+
+    Below ``x = a + 1`` it is ``Γ(a)`` less the series of the lower function,
+    ``e^-x x^a sum_k x^k / (a (a+1) ... (a+k))``; from there on it is
+    ``e^-x x^a`` times the continued fraction
+    ``1/(x + 1 - a - 1 (1 - a)/(x + 3 - a - 2 (2 - a)/(x + 5 - a - ...)))``,
+    by the modified Lentz method (W. H. Press et al., *Numerical Recipes*,
+    3rd ed., §6.2).  Each lane stops on its own convergence test, so its
+    value does not depend on the other lanes of ``x``.
+    """
+    x = np.asarray(x, float)
+    out = np.zeros(x.shape)
+    below = x < a + 1.0
+    xs = x[below]
+    term = np.full(xs.shape, 1.0 / a)
+    total = term.copy()
+    live = np.ones(xs.shape, bool)
+    n = a
+    while live.any():
+        n += 1.0
+        term *= xs / n
+        np.add(total, term, out=total, where=live)
+        live &= term > _EPS * total
     with np.errstate(divide="ignore"):
-        s = np.log(2 * R / y)
-    special = scipy_special()
-    return 2 * R * special.gammaincc(q + 1.0, s) * special.gamma(q + 1.0)
+        out[below] = math.gamma(a) - np.exp(a * np.log(xs) - xs) * total
+    # Lanes at x = inf keep Γ = 0.
+    above = ~below & (x < math.inf)
+    xf = x[above]
+    b = xf + 1.0 - a
+    c = np.full(xf.shape, 1.0 / np.finfo(float).tiny)
+    d = 1.0 / b
+    frac = d.copy()
+    live = np.ones(xf.shape, bool)
+    i = 0
+    while live.any():
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        np.multiply(frac, delta, out=frac, where=live)
+        live &= np.abs(delta - 1.0) > _EPS
+    out[above] = np.exp(a * np.log(xf) - xf) * frac
+    return out
 
 
 def _log_kernel_power_integral(e: IntervalSet, xs: np.ndarray, R: float, q: float) -> np.ndarray:
     """``F(x)``, the integral of ln^q(2R/|t - x|) over ``t`` in ``E``, at each ``x``.
 
-    With P the primitive, the integral over [alpha, beta] is
-    P(beta - x) - P(alpha - x) extended oddly to negative distances.
+    With ``P(y) = 2R Γ(q + 1, ln(2R/y))``, the integral of the kernel power
+    over ``[0, y]`` (``0 <= y <= 2R``), the integral over [alpha, beta] is
+    P(beta - x) - P(alpha - x) extended oddly to negative distances.  One
+    :func:`_upper_gamma` call takes every interval end at every ``x``.
     """
-    total = np.zeros(xs.shape)
-    for alpha, beta in e.intervals:
-        total = total + (
-            np.sign(beta - xs) * _log_kernel_primitive(np.abs(beta - xs), R, q)
-            - np.sign(alpha - xs) * _log_kernel_primitive(np.abs(alpha - xs), R, q)
-        )
-    return total
+    xs = np.asarray(xs, float)
+    u = np.array(e.intervals, float).reshape((-1, 2) + (1,) * xs.ndim) - xs
+    y = np.abs(u)
+    if np.any(y > 2 * R * (1 + 1e-12)):
+        raise ValueError("kernel distance out of range [0, 2R]")
+    with np.errstate(divide="ignore"):
+        s = np.log(2 * R / np.minimum(y, 2 * R))
+    p = np.sign(u) * (2 * R * _upper_gamma(q + 1.0, s))
+    return (p[:, 1] - p[:, 0]).sum(0)
 
 
 def log_kernel_norm(
@@ -235,6 +269,8 @@ def _sup_log_kernel_norm(e: IntervalSet, R: float, q: float) -> float:
     ``F'' = sum h(alpha - x) - h(beta - x)`` over the intervals of ``E``,
     with ``k(u) = ln^q(2R/|u|)`` and ``h(u) = -k'(u) = q ln^(q-1)(2R/|u|) / u``.
     On an interval end ``F'`` is infinite; its sign still moves the bracket.
+    ``F`` itself is evaluated once more, at the roots: Newton needs only a
+    value of the size of ``F`` for its stopping test, and gets the grid peak's.
     """
     xs = np.linspace(0.0, R, _SUP_GRID)
     vals = _log_kernel_power_integral(e, xs, R, q)
@@ -247,9 +283,10 @@ def _sup_log_kernel_norm(e: IntervalSet, R: float, q: float) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             ln = np.log(2 * R / np.abs(u))
             k, h = ln**q, q * ln ** (q - 1.0) / u
-        return _log_kernel_power_integral(e, x, R, q), (k[:, 0] - k[:, 1]).sum(0), (h[:, 0] - h[:, 1]).sum(0)
+        return vals[peaks[lanes]], (k[:, 0] - k[:, 1]).sum(0), (h[:, 0] - h[:, 1]).sum(0)
 
-    _, refined = newton_crossing(lane_jet, xs[peaks] - step, xs[peaks] + step, xs[peaks])
+    roots, _ = newton_crossing(lane_jet, xs[peaks] - step, xs[peaks] + step, xs[peaks])
+    refined = _log_kernel_power_integral(e, roots, R, q)
     return float(max(vals.max(), refined.max(initial=-np.inf)) ** (1.0 / q))
 
 
@@ -516,6 +553,24 @@ def nevanlinna_ratio(
     return _report("nevanlinna_ratio", lhs, rhs, params, err, degenerate=lhs == 0.0 and rhs == 0.0)
 
 
+def _lambert_w0(c: float) -> float:
+    """The principal Lambert W, the root ``w`` of ``w e^w = c``, for finite ``c > 0``.
+
+    Newton's method on ``w + ln(w/c) = 0`` from ``w = ln(1 + c)``, which
+    lies above the root; the iterates then rise to it from below
+    (R. M. Corless et al., "On the Lambert W function", *Adv. Comput.
+    Math.* 5, 1996).  ``ln(w/c)`` keeps its relative accuracy at both ends
+    of the range.
+    """
+    w = math.log1p(c)
+    for _ in range(_W_ITERS):
+        step = (w + math.log(w / c)) * w / (1.0 + w)
+        w -= step
+        if abs(step) <= _EPS * w:
+            break
+    return w
+
+
 def _minimal_small_set_constant(lhs: float, structure: float, b: float) -> float:
     """Smallest a >= 1 with (a/b) ln(a/b) * structure >= lhs (inf if none).
 
@@ -532,7 +587,7 @@ def _minimal_small_set_constant(lhs: float, structure: float, b: float) -> float
     if structure <= 0.0:
         return math.inf
     c = lhs / structure
-    return b * c / float(scipy_special().lambertw(c).real) if math.isfinite(c) else math.inf
+    return b * c / _lambert_w0(c) if math.isfinite(c) else math.inf
 
 
 def small_intervals_ratio(

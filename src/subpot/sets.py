@@ -259,7 +259,7 @@ def rearranged_majorant(
     lhs = 0.0
     lhs_err = 0.0
     for lo, hi in e.intervals:
-        hints = [0.0] if lo < 0.0 < hi else []
+        hints = [0.0] if lo <= 0.0 <= hi else []
         val, er = integrate(even_f, lo, hi, spec=quad, hints=hints)
         lhs += val
         lhs_err += er

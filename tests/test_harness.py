@@ -400,8 +400,13 @@ def test_unit_fingerprints_hash_the_whole_document(name):
     inst = generate_instance(name, rng_for(cfg.seed, name, 0)[0], cfg)
     rows, failures = run_unit(name, 0, cfg)
     assert failures == [] and len(rows) == len(inst.combos)
+    # run_unit dumps the base document's members once and joins them with
+    # each combo's: the text must be the merged document's dump, bit for bit.
+    base = harness._json_members(harness._sanitize(inst.base_doc))
     for row, combo in zip(rows, inst.combos):
-        assert json.loads(row["params_json"])["fingerprint"] == harness._fingerprint({**inst.base_doc, **combo})
+        doc = {**inst.base_doc, **combo}
+        assert harness._json_object({**base, **harness._json_members(harness._sanitize(combo))}) == canonical_json(doc)
+        assert json.loads(row["params_json"])["fingerprint"] == harness._fingerprint(doc)
 
 
 @pytest.mark.parametrize(
@@ -531,13 +536,13 @@ def test_summary_max_a_comes_from_rows_that_report_a_min():
     assert with_a["max_a"] == 2.5
 
 
-# --- scipy.special stays off the start-up path ---------------------------------
+# --- no subpot path imports scipy ----------------------------------------------
 
 def _fresh_interpreter(code):
     """Run ``code`` in a new interpreter on this package; return its stdout.
 
-    The pytest process cannot tell what a start-up loads: the test modules
-    import scipy themselves.
+    The pytest process cannot tell what subpot imports: the test modules
+    import scipy themselves, as an oracle.
     """
     src = str(Path(subpot.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -546,34 +551,24 @@ def _fresh_interpreter(code):
     return proc.stdout
 
 
-COLD_START = """
+NO_SCIPY = """
 import json, sys
-import subpot, subpot.cli
-from subpot import ALL_CHECKERS, SuiteConfig, rows_to_csv, run_unit
+import subpot.cli
+from subpot import ALL_CHECKERS, SuiteConfig, rows_to_csv, run_suite, run_unit
 subpot.cli.build_parser()
-cfg = SuiteConfig()
-for name in ALL_CHECKERS:
-    if name not in ("lemma1", "small_intervals_ratio"):
-        run_unit(name, 0, cfg)
-loaded = "scipy.special" in sys.modules
-print(json.dumps({"loaded": loaded, "lemma1": rows_to_csv(run_unit("lemma1", 0, cfg)[0])}))
+units = {name: rows_to_csv(run_unit(name, 0, SuiteConfig())[0]) for name in ALL_CHECKERS}
+run_suite(SuiteConfig(seed=7, instances=2, jobs=2))
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), "units": units}))
 """
 
 
-def test_cold_start_loads_scipy_special_only_for_lemma1():
-    out = json.loads(_fresh_interpreter(COLD_START))
-    assert out["loaded"] is False
-    assert out["lemma1"] == rows_to_csv(run_unit("lemma1", 0, SuiteConfig())[0])
-
-
-def test_pool_parent_loads_scipy_special_before_the_workers_fork():
-    code = (
-        "import sys\n"
-        "from subpot import SuiteConfig, run_suite\n"
-        "run_suite(SuiteConfig(seed=7, instances=2, checkers=('lemma2',), jobs=2))\n"
-        "print('scipy.special' in sys.modules)\n"
-    )
-    assert _fresh_interpreter(code).strip() == "True"
+def test_no_subpot_path_imports_scipy():
+    # Every checker's unit 0, lemma1's kernel-norm sup and the small-set
+    # Lambert W among them, then a pooled suite call.
+    out = json.loads(_fresh_interpreter(NO_SCIPY))
+    assert out["scipy"] == []
+    for name in ("lemma1", "small_intervals_ratio"):
+        assert out["units"][name] == rows_to_csv(run_unit(name, 0, SuiteConfig())[0])
 
 
 def test_lemma1_suite_csv_is_the_same_at_one_and_two_jobs(tmp_path):

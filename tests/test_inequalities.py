@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
-from scipy.special import lambertw, xlogy
+from scipy.special import gamma, gammaincc, lambertw, xlogy
 
 from subpot import (
     AtomicMeasure,
@@ -330,6 +330,32 @@ def test_sup_log_kernel_norm_with_an_interval_end_on_a_grid_peak():
     dense = _closed_kernel_norm(e, np.linspace(0.0, R, 65536), R, q).max()
     assert abs(sup - ref) <= 1e-12 * ref
     assert sup >= dense * (1.0 - 1e-14)
+
+
+# --- special functions against scipy.special ----------------------------------
+
+def test_upper_gamma_matches_scipy():
+    # a = q + 1 for q from 1 to 11 (p down to 1.1), across the switch from
+    # the series to the continued fraction at x = a + 1.
+    for a in [*np.linspace(2.0, 12.0, 41), 7.0 / 3.0]:
+        x = np.concatenate([np.linspace(0.0, 60.0, 1201), [a + 1.0, np.nextafter(a + 1.0, 0.0), 1e-300]])
+        ref = gammaincc(a, x) * gamma(a)
+        assert np.max(np.abs(inequalities._upper_gamma(a, x) / ref - 1.0)) <= 3e-14, a
+        assert inequalities._upper_gamma(a, np.array([np.inf]))[0] == 0.0
+
+
+def test_upper_gamma_lanes_do_not_depend_on_each_other():
+    x = np.concatenate([[0.0, np.inf, 1e-300, 3.0], np.random.default_rng(23).uniform(0.0, 40.0, 200)])
+    for a in (2.0, 7.0 / 3.0, 3.0, 9.5):
+        whole = inequalities._upper_gamma(a, x)
+        for i in range(x.size):
+            assert inequalities._upper_gamma(a, x[i : i + 1])[0] == whole[i]
+
+
+def test_lambert_w0_matches_scipy():
+    for c in np.geomspace(1e-12, 1e12, 2401):
+        w = inequalities._lambert_w0(float(c))
+        assert w == pytest.approx(float(lambertw(c).real), rel=1e-14, abs=0.0)
 
 
 # --- rearrangement wrapper --------------------------------------------------
