@@ -551,24 +551,35 @@ def _fresh_interpreter(code):
     return proc.stdout
 
 
-NO_SCIPY = """
+SCIPY_MODULES = 'sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")'
+
+COLD_START = f"""
 import json, sys
 import subpot.cli
-from subpot import ALL_CHECKERS, SuiteConfig, rows_to_csv, run_suite, run_unit
+from subpot import ALL_CHECKERS, SuiteConfig, rows_to_csv, run_unit
 subpot.cli.build_parser()
-units = {name: rows_to_csv(run_unit(name, 0, SuiteConfig())[0]) for name in ALL_CHECKERS}
-run_suite(SuiteConfig(seed=7, instances=2, jobs=2))
-print(json.dumps({"scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), "units": units}))
+units = {{name: rows_to_csv(run_unit(name, 0, SuiteConfig())[0]) for name in ALL_CHECKERS}}
+print(json.dumps({{"scipy": {SCIPY_MODULES}, "units": units}}))
 """
 
 
-def test_no_subpot_path_imports_scipy():
+def test_cold_start_loads_no_scipy():
     # Every checker's unit 0, lemma1's kernel-norm sup and the small-set
-    # Lambert W among them, then a pooled suite call.
-    out = json.loads(_fresh_interpreter(NO_SCIPY))
+    # Lambert W among them.
+    out = json.loads(_fresh_interpreter(COLD_START))
     assert out["scipy"] == []
     for name in ("lemma1", "small_intervals_ratio"):
         assert out["units"][name] == rows_to_csv(run_unit(name, 0, SuiteConfig())[0])
+
+
+def test_pool_parent_loads_no_scipy_before_the_workers_fork():
+    code = (
+        "import json, sys\n"
+        "from subpot import SuiteConfig, run_suite\n"
+        "run_suite(SuiteConfig(seed=7, instances=2, jobs=2))\n"
+        f"print(json.dumps({SCIPY_MODULES}))\n"
+    )
+    assert json.loads(_fresh_interpreter(code)) == []
 
 
 def test_lemma1_suite_csv_is_the_same_at_one_and_two_jobs(tmp_path):
