@@ -6,12 +6,17 @@ that is the point value ``u(0)``, the one point value the package uses.
 Everything nonlinear samples one real kernel, :class:`CircleSampler`,
 which keeps each atom's share of the squared distance on one dense angular
 grid.  Circle maxima and minima polish each peak of that grid by
-safeguarded Newton on the profile's closed-form angular derivatives;
-means of the plus, minus and abs parts use singularity-aware quadrature
-split at nearby atoms' angles and at the profile's sign changes, and the
-kinks of the circle maxima (zero crossings and switches of the winning
-peak) come from a radial scan, all refined by the same Newton routine (in
-:mod:`subpot.search`).  One table holds the transforms.
+safeguarded Newton on the profile's closed-form angular derivatives.
+Means of the plus, minus and abs parts (and of ``v`` itself, as a
+cross-check) are quadratures over the angle.  Where no atom lies within
+5 % of the circle and the transformed profile has no kink, the integrand
+is periodic and analytic, and the periodic trapezoidal rule takes it;
+otherwise adaptive Gauss-Kronrod runs with a hint at each nearby atom's
+angle and a panel edge at each sign change of the profile.  The kinks of
+the circle maxima (zero crossings and switches of the winning peak) come
+from a radial scan.  Peaks, sign changes and kinks are all refined by the
+same Newton routine (in :mod:`subpot.search`).  One table holds the
+transforms.
 
 Three pure functions repeat inside one checker unit, so each has a memo
 keyed on every argument and bounded by one unit's need: ``_sampler(v)``
@@ -37,7 +42,7 @@ from .model import (
     canonicalize,
     ln_abs,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_periodic
 from .search import grid_peaks, newton_crossing, sign_changes
 
 FunctionLike = Union[SubharmonicPotential, DeltaSubharmonicFn]
@@ -527,17 +532,29 @@ def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
 def _quad_mean(
     v: FunctionLike, r: float, transform: str, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> tuple[float, float]:
-    """(1/2pi) * integral of transform(v) over the circle, by quadrature."""
+    """(1/2pi) * integral of transform(v) over the circle, and its error estimate, by quadrature.
+
+    Atoms within ``_SPIKE_REL`` of the circle give angular hints, and the
+    profile's sign changes (for plus, minus and abs) give kinks.  Without
+    either the integrand is smooth and periodic, and
+    :func:`integrate_periodic` takes it; with either, :func:`integrate`
+    refines toward them.  The choice and both rules depend only on the
+    arguments, so the result is a pure function of them.
+    """
     wrap = _transform_fn(transform)
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
     sampler = _sampler(v)
+    hints = _spike_angles(sampler.u, r)
     kinks = _kink_angles(sampler, r) if transform != "id" else ()
 
     def integrand(s: np.ndarray) -> np.ndarray:
         return wrap(sampler.profile(r, s))
 
-    val, err = integrate(integrand, 0.0, _TWO_PI, spec=quad, hints=_spike_angles(sampler.u, r), breaks=kinks)
+    if hints or kinks:
+        val, err = integrate(integrand, 0.0, _TWO_PI, spec=quad, hints=hints, breaks=kinks)
+    else:
+        val, err = integrate_periodic(integrand, 0.0, _TWO_PI, spec=quad)
     return val / _TWO_PI, err / _TWO_PI
 
 

@@ -1,8 +1,17 @@
-"""Adaptive panel quadrature tolerant of integrable endpoint singularities.
+"""Two quadrature rules: adaptive panels for integrable singularities, and the periodic trapezoidal rule.
 
-A fixed 15-point Gauss-Kronrod rule is applied per panel and the worst
-panel is split until the summed error estimate meets the requested
-tolerance.  Two kinds of known abscissae become mandatory panel edges:
+:func:`integrate_periodic` integrates a periodic function over one period
+by the N-point trapezoidal rule, doubling N by adding the midpoints.  On a
+periodic integrand analytic in a strip about the real axis it converges
+geometrically (L. N. Trefethen and J. A. C. Weideman, "The exponentially
+convergent trapezoidal rule", *SIAM Review* 56(3), 2014); a kink or a
+spike on the period slows it to an algebraic rate, and such an integrand
+belongs to :func:`integrate`.  Its docstring gives the stopping test.
+
+:func:`integrate` applies a fixed 15-point Gauss-Kronrod rule per panel
+and splits the worst panel until the summed error estimate meets the
+requested tolerance.  Two kinds of known abscissae become mandatory panel
+edges:
 
 * ``hints`` are integrable singularities.  A hint at the origin is
   integrated by the substitution ``t = e * s**_POWER``, ``s`` in
@@ -40,7 +49,7 @@ a hint off the origin make a first panel that does.  Integrands are called
 with a numpy array of abscissae (in ``t``) and must return an array of
 values, which is only read.
 
-Each panel calls the integrand exactly once, on its 15 abscissae: the
+Each panel of :func:`integrate` calls the integrand exactly once, on its 15 abscissae: the
 benchmark tracer counts panels as integrand calls and checks this against
 the calls of ``_panel_estimate``.  The first panels depend only on the
 range, the hints and the breaks, so :func:`first_panel_nodes` gives their
@@ -132,6 +141,15 @@ _X_OUTER = float(_XGK[-1])
 # few ulps of rounding.
 _SAFE_WIDTH = 1e-11
 _SAFE_FLOOR = 1e-290
+
+# The periodic trapezoidal rule starts at _PERIODIC_START points and
+# doubles up to _PERIODIC_MAX_POINTS.  Over the default suite at its own
+# seed and at seeds 1-5, at the default tolerance, 1e-11 and 1e-13, no
+# circle mean took more than 2,048.
+_PERIODIC_START = 32
+_PERIODIC_MAX_POINTS = 2**15
+# QUADPACK's rounding floor: 50 eps times the integral of |f|.
+_ROUNDING = 50.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -356,3 +374,56 @@ def integrate(
             counter += 2
 
     return total, total_err
+
+
+def integrate_periodic(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD
+) -> tuple[float, float]:
+    """Integrate ``f``, periodic with period ``b - a``, over ``[a, b]`` by the trapezoidal rule; returns ``(value, error_estimate)``.
+
+    The rule starts at ``_PERIODIC_START`` equispaced points and doubles by
+    adding the midpoints, one call of ``f`` per level.  It stops when two
+    consecutive differences ``|T_N - T_(N/2)|`` both meet the tolerance
+    ``max(abs_tol, rel_tol * |T_N|)``: one difference alone reads 0 when the
+    Fourier mode that ``T_N`` aliases happens to vanish on its nodes.  The
+    error reported is the last difference, but at least the rounding floor
+    ``50 eps`` times the integral of ``|f|``; the floor stays out of the
+    stopping test.  Raises :class:`QuadratureError` with the last value and
+    difference past ``_PERIODIC_MAX_POINTS`` points.  For a periodic ``f``
+    analytic in a strip about the real axis the rule converges
+    geometrically; a kink or a spike needs :func:`integrate` instead.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration endpoints must be finite")
+    if b <= a:
+        raise ValueError("a period needs b > a")
+    width = b - a
+
+    def sample(xs: np.ndarray) -> np.ndarray:
+        ys = np.asarray(f(xs), dtype=float)
+        if ys.shape != xs.shape:
+            raise QuadratureError(f"integrand returned shape {ys.shape} for {xs.shape} abscissae")
+        if not np.isfinite(ys).all():
+            raise QuadratureError(f"non-finite integrand sample on the period [{a!r}, {b!r}]")
+        return ys
+
+    n = _PERIODIC_START
+    diff = math.inf
+    with np.errstate(divide="ignore"):
+        ys = sample(a + width * (np.arange(n) / n))
+        total, total_abs = float(ys.sum()), float(np.abs(ys).sum())
+        value = width * total / n
+        while True:
+            if 2 * n > _PERIODIC_MAX_POINTS:
+                raise QuadratureError(
+                    f"periodic rule exhausted ({n} points, err={diff:.3e})", value=value, error_estimate=diff
+                )
+            ys = sample(a + width * ((np.arange(n) + 0.5) / n))
+            total += float(ys.sum())
+            total_abs += float(np.abs(ys).sum())
+            n *= 2
+            new = width * total / n
+            prev, diff, value = diff, abs(new - value), new
+            tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+            if diff <= tol and prev <= tol:
+                return value, max(diff, _ROUNDING * width * total_abs / n)

@@ -26,7 +26,7 @@ from subpot import (
 )
 import subpot.characteristics as characteristics
 from subpot.characteristics import _CIRCLE_GRID, _S_GRID, CircleSampler, _circle_extremes, _quad_mean
-from subpot.inequalities import MEAN_QUAD
+from subpot.inequalities import MEAN_QUAD, NORM_QUAD
 from subpot.quadrature import QuadratureSpec, integrate
 from subpot.search import grid_peaks
 
@@ -119,12 +119,85 @@ def test_circle_mean_atom_on_circle_both_routes():
 
 
 def test_circle_mean_routes_agree_on_random_potentials():
+    # An atom within 5 % of the circle sends the mean to the adaptive rule
+    # with a hint at its angle; the others take the periodic rule.  Both
+    # land within their err (plus rounding) of the closed form.
     rng = np.random.default_rng(618)
+    hinted = []
     for _ in range(15):
         u = _random_potential(rng, avoid=(1.7,))
+        hinted.append(bool(characteristics._spike_angles(characteristics.as_delta(u), 1.7)))
         a = circle_mean(u, 1.7)
         b = circle_mean_nonlinear(u, "id", 1.7)
-        assert b.value == pytest.approx(a.value, rel=1e-8, abs=1e-8)
+        assert abs(b.value - a.value) <= b.error_estimate + 1e-14 * (1.0 + abs(a.value))
+    assert 0 < sum(hinted) < len(hinted)
+
+
+def _smooth_random_potential(rng, r):
+    """A random potential with no atom within 5 % of the circle of radius ``r``."""
+    while True:
+        u = _random_potential(rng, avoid=(r,))
+        if not characteristics._spike_angles(characteristics.as_delta(u), r):
+            return u
+
+
+@pytest.mark.parametrize("rel_tol", [None, 1e-11, 1e-13])
+def test_periodic_means_lie_within_their_err_on_random_potentials(rel_tol):
+    rng = np.random.default_rng(619)
+    spec = MEAN_QUAD if rel_tol is None else QuadratureSpec(rel_tol=rel_tol)
+    for _ in range(30):
+        r = float(rng.uniform(0.3, 4.0))
+        u = _smooth_random_potential(rng, r)
+        exact = circle_mean(u, r).value
+        mean = circle_mean_nonlinear(u, "id", r, spec)
+        assert abs(mean.value - exact) <= mean.error_estimate + 1e-14 * (1.0 + abs(exact))
+
+
+@pytest.mark.parametrize("spec", [MEAN_QUAD, NORM_QUAD], ids=["mean_quad", "norm_quad"])
+def test_periodic_mean_is_not_fooled_by_an_aliased_mode(spec):
+    # ln|z - a| on |z| = 1 has the modes -|a|**k cos(k (s - pi/64)) / k; on
+    # the 32-point grid the mode k = 32 is cos(32 s - pi/2), which vanishes
+    # at every node, and T_32 and T_64 share the aliased mode 64
+    # (1.6e-10).  A rule that stops on one small difference returns 1.6e-10
+    # with an err far below it; the exact mean is 0.
+    u = _potential([(0.75 * complex(math.cos(math.pi / 64), math.sin(math.pi / 64)), 1.0)])
+    _quad_mean.cache_clear()
+    mean = circle_mean_nonlinear(u, "id", 1.0, spec)
+    assert abs(mean.value - circle_mean(u, 1.0).value) <= mean.error_estimate <= 1e-14
+
+
+def test_periodic_mean_reports_the_rounding_floor():
+    # One atom at 0.5 on the unit circle: the differences fall far below
+    # rounding (3e-18 against a true error of about 1e-17), so the floor of
+    # 50 eps times the mean of |f| is what covers the gap.
+    u = _potential([(0.5, 1.0)])
+    _quad_mean.cache_clear()
+    mean = circle_mean_nonlinear(u, "id", 1.0, MEAN_QUAD)
+    sampler = characteristics._sampler(u)
+    s = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+    floor = 50.0 * np.finfo(float).eps * np.abs(sampler.profile(1.0, s)).mean()
+    assert abs(mean.value - circle_mean(u, 1.0).value) <= mean.error_estimate
+    assert mean.error_estimate >= 0.99 * floor
+
+
+@pytest.mark.parametrize(
+    "transform,r,adaptive",
+    [("id", 1.2, False), ("plus", 3.0, False), ("id", 1.02, True), ("plus", 1.2, True), ("abs", 1.2, True)],
+    ids=["smooth", "smooth_plus", "hint", "kink", "abs_kink"],
+)
+def test_mean_takes_the_adaptive_rule_only_for_a_hint_or_a_kink(transform, r, adaptive, monkeypatch):
+    # Atoms at 1 (within 5 % of r = 1.02) and at 0.3 and -0.5i; the profile
+    # changes sign on r = 1.2, and is positive on r = 3.
+    U = _delta([(1.0, 1.0), (-0.5j, 2.0)], [(0.3, 1.5)], plus_const=0.2)
+    used = []
+    for name in ("integrate", "integrate_periodic"):
+        rule = getattr(characteristics, name)
+        monkeypatch.setattr(characteristics, name, lambda *a, rule=rule, name=name, **k: used.append(name) or rule(*a, **k))
+    _quad_mean.cache_clear()
+    mean = circle_mean_nonlinear(U, transform, r, MEAN_QUAD)
+    _quad_mean.cache_clear()
+    assert used == ["integrate" if adaptive else "integrate_periodic"]
+    assert math.isfinite(mean.value) and mean.error_estimate <= 1e-9 * (1.0 + abs(mean.value))
 
 
 def test_plus_mean_reciprocal():

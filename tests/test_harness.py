@@ -373,9 +373,14 @@ def test_run_unit_integrates_the_maxima_once_per_unit(name, binding, monkeypatch
 
 
 def test_run_unit_computes_each_circle_characteristic_once(monkeypatch):
-    # The means at r0 and at each k*r; the single-radius maxima at each k*r.
-    k_count = len(SuiteConfig().k_values)
-    assert _unit_calls("main_theorem_T", characteristics, "integrate", monkeypatch) == 1 + k_count
+    # The means at r0 and at each k*r, whichever rule computes them (the
+    # memo's misses); the single-radius maxima at each k*r.
+    cfg = SuiteConfig()
+    k_count = len(cfg.k_values)
+    _clear_memos()
+    rows, failures = run_unit("main_theorem_T", 0, cfg)
+    assert failures == [] and len(rows) == combo_count("main_theorem_T", cfg)
+    assert characteristics._quad_mean.cache_info().misses == 1 + k_count
     assert _unit_calls("main_theorem_M", characteristics, "max_on_circles", monkeypatch) == k_count
 
 

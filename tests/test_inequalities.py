@@ -1,6 +1,7 @@
 """Bound reports for every checked inequality, frozen against closed forms."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_lemma4_random_instances():
 def _closed_kernel_norm(e, x, R, q):
     """The kernel norm from the closed-form power integral, at a point or an array of points."""
     xs = np.asarray(x, float)
-    norm = inequalities._log_kernel_power_integral(e, xs, R, q) ** (1.0 / q)
+    norm = inequalities._log_kernel_power_integral(e, xs, R, q)[0] ** (1.0 / q)
     return norm if xs.ndim else float(norm)
 
 
@@ -272,7 +273,7 @@ def test_sup_log_kernel_norm_dominates_samples():
     rng = np.random.default_rng(616)
     e = IntervalSet.from_pairs([(0.2, 0.7), (1.1, 1.4)])
     for q in (1.0, 2.0, 3.3):
-        sup = _sup_log_kernel_norm(e, 2.0, q)
+        sup, _ = _sup_log_kernel_norm(e, 2.0, q)
         for _ in range(50):
             x = float(rng.uniform(0.0, 2.0))
             assert _closed_kernel_norm(e, x, 2.0, q) <= sup + 1e-9
@@ -307,7 +308,7 @@ def test_sup_log_kernel_norm_matches_golden_section_and_dense_grid(monkeypatch):
         q = 1.0 if k % 5 == 0 else float(rng.uniform(1.0, 4.0))
         with monkeypatch.context() as m:
             m.setattr(inequalities, "_log_kernel_power_integral", counted)
-            sup = _sup_log_kernel_norm(e, R, q)
+            sup, _ = _sup_log_kernel_norm(e, R, q)
         ref = _golden_sup_log_kernel_norm(e, R, q)
         dense = _closed_kernel_norm(e, np.linspace(0.0, R, 65536), R, q).max()
         assert abs(sup - ref) <= 1e-12 * ref
@@ -325,12 +326,44 @@ def test_sup_log_kernel_norm_with_an_interval_end_on_a_grid_peak():
     e = IntervalSet.from_pairs([(0.0, 0.001), (xs[100] - 0.3 * R / 255, xs[100])])
     grid = _closed_kernel_norm(e, xs, R, q)
     assert 100 in grid_peaks(grid, periodic=False)[0]
-    sup = _sup_log_kernel_norm(e, R, q)
+    sup, _ = _sup_log_kernel_norm(e, R, q)
     ref = _golden_sup_log_kernel_norm(e, R, q)
     dense = _closed_kernel_norm(e, np.linspace(0.0, R, 65536), R, q).max()
     assert abs(sup - ref) <= 1e-12 * ref
     assert sup >= dense * (1.0 - 1e-14)
 
+
+
+def test_sup_log_kernel_norm_err_covers_the_cancellation(monkeypatch):
+    # The default suite's lemma1 sets and radii, against the quadrature norm
+    # at rel_tol 1e-13 (and no absolute floor) at the sup's own x.  The closed form cancels about
+    # 1e-13 relative; the tabulated Kronrod weights carry 15 digits, so the
+    # quadrature gets 1e-14 relative beyond its err (see the test above).
+    cfg = SuiteConfig()
+    closed_form = inequalities._log_kernel_power_integral
+    seen = []
+
+    def recorded(e, xs, R, q):
+        out = closed_form(e, xs, R, q)
+        seen.append((np.asarray(xs, float), out[0]))
+        return out
+
+    monkeypatch.setattr(inequalities, "_log_kernel_power_integral", recorded)
+    worst = 0.0
+    for index, q in product(range(cfg.instances), (1.0, 4.0 / 3.0, 2.0)):
+        doc = generate_instance("lemma1", rng_for(cfg.seed, "lemma1", index)[0], cfg).base_doc
+        e, R = IntervalSet.from_pairs(doc["e"]), doc["R"]
+        seen.clear()
+        sup, err = _sup_log_kernel_norm(e, R, q)
+        xs, fs = (np.concatenate(z) for z in zip(*seen))
+        x = float(xs[fs.argmax()])
+        assert fs.max() ** (1.0 / q) == sup
+        norm, norm_err = log_kernel_norm(e, x, R, q, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
+        gap = abs(sup - norm) - norm_err - 1e-14 * norm
+        assert gap <= err
+        worst = max(worst, gap / sup)
+    # Without its err the sup would miss: the cancellation shows.
+    assert worst > 1e-14
 
 # --- special functions against scipy.special ----------------------------------
 

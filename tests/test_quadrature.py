@@ -7,7 +7,7 @@ import pytest
 from scipy.special import gamma, gammaincc
 
 from subpot import QuadratureError, QuadratureSpec, integrate
-from subpot.quadrature import first_panel_nodes
+from subpot.quadrature import _PERIODIC_MAX_POINTS, first_panel_nodes, integrate_periodic
 
 # 2*pi*I0(1), independently computed from scipy.special.i0.
 EXP_COS_CIRCLE = 7.954926521012844
@@ -341,3 +341,55 @@ def test_budget_exhaustion_with_the_substitution_carries_best_estimate():
         integrate(lambda t: np.abs(t) ** -0.95, -1.0, 1.0, spec, hints=(0.0,))
     assert exc.value.value == pytest.approx(40.0, rel=0.1)
     assert 0.0 < exc.value.error_estimate < math.inf
+
+
+# --- the periodic trapezoidal rule ----------------------------------------
+
+
+def test_periodic_rule_converges_geometrically():
+    # exp(cos s) is entire: 2 pi I0(1) to rounding, in a handful of levels.
+    calls = []
+    val, err = integrate_periodic(lambda s: calls.append(s.size) or np.exp(np.cos(s)), 0.0, 2.0 * math.pi)
+    assert abs(val - EXP_COS_CIRCLE) <= err <= 1e-13
+    assert calls == [32, 32, 64]
+
+
+def test_periodic_rule_is_shift_free_on_any_period():
+    # One period of a periodic function, wherever it starts.
+    val, err = integrate_periodic(lambda s: np.exp(np.cos(s)), -1.0, 2.0 * math.pi - 1.0)
+    assert abs(val - EXP_COS_CIRCLE) <= err + 1e-14 * EXP_COS_CIRCLE
+
+
+def test_periodic_rule_reports_the_rounding_floor():
+    # A constant is exact at every level: the differences read 0, and the
+    # err is 50 eps times the integral of |f|.
+    val, err = integrate_periodic(lambda s: np.full(s.shape, -3.0), 0.0, 1.0)
+    assert val == -3.0 and err == 50.0 * np.finfo(float).eps * 3.0
+
+
+def test_periodic_rule_cap_raises_with_the_last_value_and_difference():
+    # |sin s| kinks at 0 and pi, so the trapezoidal error falls like 1/N**2
+    # and rel_tol 1e-15 is out of reach below the point cap.
+    calls = []
+
+    def f(s):
+        calls.append(s.size)
+        return np.abs(np.sin(s))
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_periodic(f, 0.0, 2.0 * math.pi, QuadratureSpec(rel_tol=1e-15))
+    assert sum(calls) == _PERIODIC_MAX_POINTS
+    assert abs(info.value.value - 4.0) <= info.value.error_estimate < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_periodic_rule_nonfinite_sample_raises(bad):
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_periodic(lambda s: np.where(s > 3.0, bad, 1.0), 0.0, 2.0 * math.pi)
+
+
+def test_periodic_rule_rejects_an_empty_period_and_a_wrong_shape():
+    with pytest.raises(ValueError):
+        integrate_periodic(np.cos, 1.0, 1.0)
+    with pytest.raises(QuadratureError, match="shape"):
+        integrate_periodic(lambda s: np.ones(3), 0.0, 1.0)
