@@ -99,15 +99,26 @@ def as_delta(v: FunctionLike) -> DeltaSubharmonicFn:
     return v
 
 
+def _atom_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading (atom) axis, one atom after another.
+
+    numpy reduces the leading axis of a batch of points row by row, but sums
+    the 8 or more atoms of a single point pairwise; a running sum keeps that
+    case in atom order too.
+    """
+    if x.shape[0] >= 8 and x.size == x.shape[0]:
+        return np.cumsum(x, axis=0)[-1]
+    return x.sum(axis=0)
+
+
 class CircleSampler:
     """Profile values of a canonical difference at ``t * e^{is}``, from one real kernel.
 
     With ``x + iy = t e^{is}``, atom ``a`` of signed mass ``m`` (negative on
     the minus component) adds ``m ln D / 2``, ``D = (x - Re a)**2 + (y - Im a)**2``.
-    Atoms lie on the leading axis, so for a batch of points ``sum(axis=0)``
-    adds them one after another.  For a single point numpy sums 8 or more
-    atoms pairwise instead, so the last bits may differ from the same point
-    inside a batch.
+    Atoms lie on the leading axis, and :func:`_atom_sum` adds them one
+    after another for any number of points, so a point's value has the same
+    bits alone as inside a batch.
     """
 
     def __init__(self, u: DeltaSubharmonicFn):
@@ -128,7 +139,7 @@ class CircleSampler:
         """``c0 + sum h ln D``, overwriting ``D``; ``D = 0`` gives -inf (plus atom) or +inf (minus atom)."""
         np.log(d, out=d)
         d *= h
-        return self._c0 + d.sum(axis=0)
+        return self._c0 + _atom_sum(d)
 
     def profile(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         _, _, dx, dy, _, _, h = self._offsets(t, s)
@@ -161,7 +172,7 @@ class CircleSampler:
         """Radial derivative of the profile at ``t * e^{is}``: atom ``a`` adds ``m (t - Re(a e^{-is})) / D``."""
         _, _, dx, dy, _, _, h = self._offsets(t, s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (2.0 * h * (dx * np.cos(s) + dy * np.sin(s)) / (dx * dx + dy * dy)).sum(axis=0)
+            return _atom_sum(2.0 * h * (dx * np.cos(s) + dy * np.sin(s)) / (dx * dx + dy * dy))
 
     def jet(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Profile value and its first two angular derivatives at ``t * e^{is}``.
@@ -174,8 +185,8 @@ class CircleSampler:
         d = dx * dx + dy * dy
         with np.errstate(divide="ignore", invalid="ignore"):
             q = 2.0 * (dy * re - dx * im) / d
-            dp = (q * h).sum(axis=0)
-            d2p = ((2.0 * (x * re + y * im) / d - q * q) * h).sum(axis=0)
+            dp = _atom_sum(q * h)
+            d2p = _atom_sum((2.0 * (x * re + y * im) / d - q * q) * h)
             return self._log_sum(d, h), dp, d2p
 
 

@@ -467,9 +467,9 @@ def test_circle_extremes_return_the_angles_that_attain_them():
 
 
 def test_kernel_point_alone_matches_batch():
-    # A batch sums the atom axis one atom after another; a single point with
-    # 8 or more atoms goes through numpy's pairwise sum instead, so only the
-    # last bits may differ.
+    # The atoms are summed one after another for any number of points, so a
+    # point alone has the same bits as inside a batch (numpy would sum a
+    # single point's 8 or more atoms pairwise).
     rng = np.random.default_rng(88)
     for n in range(1, 15):
         centers = rng.uniform(0.1, 4.0, n) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
@@ -477,11 +477,25 @@ def test_kernel_point_alone_matches_batch():
         sampler = CircleSampler(_delta(pairs[: (n + 1) // 2], pairs[(n + 1) // 2 :], 0.3, -0.2))
         t = rng.uniform(0.05, 5.0, 20)
         s = rng.uniform(0.0, 2 * math.pi, 20)
-        batch = sampler.jet(t, s)
+        batch = sampler.jet(t, s) + (sampler.radial_slope(t, s),)
         for i in range(t.size):
-            alone = sampler.jet(t[i : i + 1], s[i : i + 1])
+            alone = sampler.jet(t[i : i + 1], s[i : i + 1]) + (sampler.radial_slope(t[i : i + 1], s[i : i + 1]),)
             for b, a in zip(batch, alone):
-                assert abs(a[0] - b[i]) <= 1e-14 * max(1.0, abs(b[i]))
+                assert a[0] == b[i]
+            assert sampler.jet(t[i], s[i])[0] == batch[0][i]
+
+
+def test_circle_maxima_of_a_batch_equal_the_per_radius_calls():
+    # Newton polishes every peak of a call as one set of lanes, so lanes
+    # drop out at different times; each radius still gets the same bits as
+    # on its own, with up to 14 atoms per component.
+    rng = np.random.default_rng(93)
+    for n in (3, 8, 14):
+        U = DeltaSubharmonicFn(plus=_random_potential(rng, n), minus=_random_potential(rng, n))
+        ts = rng.uniform(0.05, 4.5, 40)
+        for transform in ("id", "plus", "minus", "abs"):
+            alone = np.concatenate([max_on_circles(U, ts[i : i + 1], transform) for i in range(ts.size)])
+            assert np.array_equal(max_on_circles(U, ts, transform), alone)
 
 
 def _reference_jet(U, z):
@@ -619,10 +633,8 @@ def test_many_radii_take_the_grid_pass_in_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-    # Panel-sized calls polish in other Newton lane sets, which can move a
-    # sum of 8 or more atoms by rounding (see CircleSampler).
     ref = np.concatenate([max_on_circles(U, ts[i : i + 15], "abs") for i in range(0, ts.size, 15)])
-    assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+    assert np.array_equal(got, ref)
 
 
 def test_nevanlinna_reciprocal_outside_unit_disc():
