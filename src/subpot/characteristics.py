@@ -55,6 +55,32 @@ _S_GRID.flags.writeable = False
 # Radii per grid pass: a chunk's grid holds atoms x radii x 1024 floats,
 # and 16 radii is about one quadrature panel's 15.
 _GRID_CHUNK = 16
+# Coarse cells of the grid, each _CELL_STEPS grid steps wide, with a grid
+# column at each end; a cell whose bound cannot reach the level a maximum is
+# read at is not searched.  Radii per bound pass, and cells per fine pass (as
+# many grid values as a full-grid chunk of 8 radii holds).
+_CELL_STEPS = 16
+_CELLS = _CIRCLE_GRID // _CELL_STEPS
+_BOUND_CHUNK = 64
+_FINE_CELLS = _GRID_CHUNK * _CELLS // 2
+# Calls with fewer radii search the whole grid: below this the bound pass
+# costs more than the cells it skips save.
+_PRUNE_RADII = 16
+# Rounding slack of a cell bound: the sums of n + 1 terms behind the bound
+# and behind any value are each off by at most (n + 1) u times the sum of
+# the terms' sizes (u = 2**-53), and each log by u; 1e-10 of that size
+# covers both for any atom count up to 10**5.
+_SUM_SLACK = 1e-10
+# Beside an atom, D is computed with a relative error of at most about
+# (pi + 6) u (t + rho) / sqrt(D) (the angle s - theta on the grid, the
+# offsets x - Re a in the jet); a term h ln D is off by |h| times that, and
+# sqrt(D) >= |t - rho| on the circle, so each atom adds 16 u |h| (t + rho) /
+# |t - rho|.  That linear model holds while |t - rho| is far above
+# u (t + rho); a circle closer than 1e-9 (t + rho) to an atom is searched
+# whole.
+_NEAR_SLACK = 16.0 * np.finfo(float).eps / 2.0
+_NEAR_LIMIT = 1e9
+
 # Rounds of kink refinement: a root where a third branch leads splits its bracket.
 _KINK_ROUNDS = 3
 # Roots closer than this to a bracket end, relative, are dropped: far
@@ -102,13 +128,14 @@ def as_delta(v: FunctionLike) -> DeltaSubharmonicFn:
 def _atom_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the leading (atom) axis, one atom after another.
 
-    numpy reduces the leading axis of a batch of points row by row, but sums
-    the 8 or more atoms of a single point pairwise; a running sum keeps that
-    case in atom order too.
+    numpy reduces the leading axis of a C-ordered batch of points row by
+    row, but sums 8 or more atoms pairwise where the atom axis is the
+    innermost in memory, and so for a single point; a running sum keeps that
+    case in atom order, and any other layout is made C-ordered first.
     """
     if x.shape[0] >= 8 and x.size == x.shape[0]:
         return np.cumsum(x, axis=0)[-1]
-    return x.sum(axis=0)
+    return np.ascontiguousarray(x).sum(axis=0)
 
 
 class CircleSampler:
@@ -159,6 +186,77 @@ class CircleSampler:
         centers = self._atoms[0] + 1j * self._atoms[1]
         rho = np.abs(centers)[:, None]
         return rho, 4.0 * rho * np.sin(0.5 * (_S_GRID - np.angle(centers)[:, None])) ** 2
+
+    @cached_property
+    def _cell_layout(self) -> tuple[np.ndarray, ...]:
+        """``rho`` and ``G`` at the coarse points (grid columns 0, 16, ..., 1008 and 0 again), and per atom the cells that may hold its angle and its antipode.
+
+        An angle within 1e-9 of a cell edge counts in both cells beside it.
+        """
+        rho, g = self._polar_grid
+        pos = (np.arctan2(self._atoms[1], self._atoms[0]) % _TWO_PI) * (_CELLS / _TWO_PI)
+        near = np.floor(pos[:, None] + np.array([-1e-9, 1e-9])).astype(int) % _CELLS
+        coarse = np.arange(0, _CIRCLE_GRID + 1, _CELL_STEPS) % _CIRCLE_GRID
+        return rho, np.take(g, coarse, axis=1), near, (near + _CELLS // 2) % _CELLS
+
+    def cell_bounds(self, ts: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coarse values and cell bounds of the profile at each radius in ``ts``.
+
+        The coarse values are the grid values at columns 0, 16, ... (radii x
+        64).  The bound of ``signs[b] * profile`` on cell ``c``, from coarse
+        point ``c`` to ``c + 1`` (signs x radii x 64), adds up each atom's
+        largest term on the cell.  ``D`` grows with the angular distance from
+        the atom, so that is the larger end value, except in the cell holding
+        the point where the term peaks: the atom's angle, where ``D = (t -
+        rho)**2``, when the sign sends its spike upward, else its antipode,
+        where ``D = (t + rho)**2``.  Each radius's bounds include one rounding
+        slack: ``_SUM_SLACK`` times ``1 + |c0|`` plus the largest size of each
+        term on the circle, and ``_NEAR_SLACK |h| sqrt(span/gap)`` per atom,
+        with ``gap = (t - rho)**2`` the least ``D`` on the circle and ``span =
+        (t + rho)**2``.  A bound is +inf where its slack is not finite (an atom
+        within 1e-9 (t + rho) of the circle), so it is never NaN.
+        """
+        rho, gc, near_cells, far_cells = self._cell_layout
+        h = self._atoms[2][:, None]
+        lanes = np.arange(h.size)[:, None]
+        gap, span = (ts - rho) ** 2, (ts + rho) ** 2
+        d = gc[:, None, :] * ts[:, None]
+        d += gap[:, :, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln_gap, ln_span = np.log(gap), np.log(span)
+            # Every term on the circle lies between h ln gap and h ln span.
+            near = np.sqrt(span / gap)
+            near[near > _NEAR_LIMIT] = np.inf
+            per_atom = _SUM_SLACK * np.maximum(np.abs(ln_gap), np.abs(ln_span)) + _NEAR_SLACK * near
+            slack = _SUM_SLACK * (1.0 + abs(self._c0)) + _atom_sum(np.abs(h) * per_atom)
+            terms = np.log(d, out=d)
+            terms *= h[:, :, None]
+            coarse = (self._c0 + _atom_sum(terms))[:, :-1]
+            bounds = np.empty((signs.size,) + coarse.shape)
+            for b, sign in enumerate(signs):
+                if sign > 0:
+                    top = np.maximum(terms[..., :-1], terms[..., 1:])
+                else:
+                    top = np.negative(np.minimum(terms[..., :-1], terms[..., 1:]))
+                up = sign * h < 0
+                peak_cells = np.where(up, near_cells, far_cells)
+                peak = sign * h * np.where(up, ln_gap, ln_span)
+                top[lanes, :, peak_cells] = np.maximum(top[lanes, :, peak_cells], peak[:, None, :])
+                total = _atom_sum(top)
+                total += (sign * self._c0 + slack)[:, None]
+                bounds[b] = np.where(np.isnan(total), np.inf, total)
+        return coarse, bounds
+
+    def cell_profile(self, ts: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Grid values at radius ``ts[k]`` on coarse cell ``cells[k]``'s 17 columns and one column beyond each end (one row per ``k``)."""
+        rho, g = self._polar_grid
+        cols = (_CELL_STEPS * cells[:, None] + np.arange(-1, _CELL_STEPS + 2)) % _CIRCLE_GRID
+        # take, not g[:, cols], which would put the atom axis innermost.
+        d = np.take(g, cols, axis=1)
+        d *= ts[:, None]
+        d += ((ts - rho) ** 2)[:, :, None]
+        with np.errstate(divide="ignore"):
+            return self._log_sum(d, self._atoms[2][:, None, None])
 
     def grid_profile(self, ts: np.ndarray) -> np.ndarray:
         """Profile values at each radius in ``ts`` (rows) and each angle of the shared grid (columns)."""
@@ -248,6 +346,55 @@ def _extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> tupl
     return best, angles, (k, rows, cols, roots, refined)
 
 
+def _searched(bounds: np.ndarray, level: Union[float, np.ndarray]) -> np.ndarray:
+    """Which cells a search visits: those whose bound reaches ``level``."""
+    return bounds >= level
+
+
+def _pruned_maxima(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray, floor: float) -> np.ndarray:
+    """Maxima of ``sign * profile`` (one row per sign, one column per radius), as far as they reach the level they are read at.
+
+    That level is, per radius, the largest coarse value of any sign, or
+    ``floor`` if higher.  The fine grid is sampled, and its peaks polished,
+    only on the coarse cells whose bound (:meth:`CircleSampler.cell_bounds`)
+    reaches the level; each such cell takes one column beyond each end, so a
+    peak test sees the same neighbours as on the whole grid, and a peak on
+    the edge of two searched cells is polished once.  A value in a skipped
+    cell, grid or polished, lies below the level, so every maximum that
+    reaches the level is the same float as :func:`_extremes` gives; one
+    below it may come out lower, but no lower than the level's coarse value
+    of its sign.  Radii go in chunks of ``_BOUND_CHUNK``, cells in chunks of
+    ``_FINE_CELLS``, and all peaks are polished as one set of lanes.
+    """
+    best = np.empty((signs.size, ts.size))
+    found = []
+    for i in range(0, ts.size, _BOUND_CHUNK):
+        part = ts[i : i + _BOUND_CHUNK]
+        coarse, bounds = sampler.cell_bounds(part, signs)
+        best[:, i : i + part.size] = (signs[:, None, None] * coarse).max(axis=2)
+        level = np.maximum(best[:, i : i + part.size].max(axis=0), floor)
+        keep = _searched(bounds, level[:, None])
+        radius, cell = np.nonzero(keep.any(axis=0))
+        for j in range(0, radius.size, _FINE_CELLS):
+            rr, cc = radius[j : j + _FINE_CELLS], cell[j : j + _FINE_CELLS]
+            vals = sampler.cell_profile(part[rr], cc)
+            for b, sign in enumerate(signs):
+                with np.errstate(invalid="ignore"):
+                    sv = vals if sign == 1.0 else sign * vals
+                kk, pos = grid_peaks(sv, periodic=False)
+                r, c = rr[kk], cc[kk]
+                own = keep[b, r, c] & ~((pos == _CELL_STEPS + 1) & keep[b, r, (c + 1) % _CELLS])
+                kk, pos, r, c = kk[own], pos[own], r[own], c[own]
+                found.append((np.full(kk.size, b), i + r, (_CELL_STEPS * c + pos - 1) % _CIRCLE_GRID, sv[kk, pos]))
+    k, rows, cols, peak = (np.concatenate(x) for x in zip(*found)) if found else (np.empty(0, int),) * 4
+    _, refined = _polish(sampler, ts, np.repeat(signs[:, None], ts.size, axis=1), k, rows, cols)
+    # A kept value at or above the level is no higher than a peak of its own
+    # or of a kept neighbouring cell, so the peaks' grid values stand for
+    # the fine grid.
+    np.maximum.at(best, (k, rows), np.fmax(refined, peak))
+    return best
+
+
 def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Profile maxima (sign 1) and minima (sign -1) at each radius, and the angles that attain them (see :func:`_extremes`)."""
     best, angles, _ = _extremes(sampler, ts, signs)
@@ -308,7 +455,12 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
 
     Returns +inf exactly where an atom whose transformed spike diverges
     upward lies on the circle (minus-component atoms for "id"/"plus",
-    plus-component atoms for "minus", both for "abs").
+    plus-component atoms for "minus", both for "abs").  A call with
+    ``_PRUNE_RADII`` radii or more searches only the coarse cells whose
+    bound reaches the level the supremum is read at
+    (:func:`_pruned_maxima`); a smaller one searches the whole grid
+    (:func:`_extremes`), where the bound costs more than it saves.  Both
+    give the same floats.
     """
     wrap = _transform_fn(transform)
     sampler = _sampler(v)
@@ -326,7 +478,15 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
     if transform in ("minus", "abs"):
         signs.append(-1.0)
         up_moduli.append(sampler.u.plus.charge.moduli)
-    sup = wrap(_circle_extremes(sampler, ts, np.array(signs))[0]).max(axis=0)
+    # The transformed supremum is the largest maximum of any sign, clipped
+    # at 0 unless the transform is "id" (for "abs", M >= m makes the larger
+    # of M and -m at least |M| and |m|), so no maximum below it moves it.
+    sign = np.array(signs)
+    if ts.size >= _PRUNE_RADII:
+        best = _pruned_maxima(sampler, ts, sign, -np.inf if transform == "id" else 0.0)
+    else:
+        best = _extremes(sampler, ts, sign)[0]
+    sup = wrap(sign[:, None] * best).max(axis=0)
     return np.where(np.isin(ts, np.concatenate(up_moduli)), np.inf, sup)
 
 

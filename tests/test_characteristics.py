@@ -615,6 +615,78 @@ def test_abs_maxima_share_the_grid_exactly():
         assert np.array_equal(both, np.maximum(np.abs(max_on_circles(U, ts, "id")), max_on_circles(U, ts, "minus")))
 
 
+def _random_points(rng, n):
+    return 4.0 * rng.uniform(0.02, 1.0, n) * np.exp(2j * math.pi * rng.random(n))
+
+
+def _bound_cases():
+    """Potentials and radii for the cell bound, edge cases included.
+
+    Random pairs with up to 14 atoms per component, an atom at the origin
+    on either side, an atom on a probed circle at a grid angle (``D = 0`` on
+    the grid), and radii within 1e-12 of an atom's modulus.
+    """
+    rng = np.random.default_rng(94)
+    cases = []
+    for i in range(12):
+        n = (3, 8, 14)[i % 3]
+        plus, minus = (
+            _potential([(complex(c), float(m)) for c, m in zip(_random_points(rng, n), rng.uniform(0.1, 2.0, n))])
+            for _ in range(2)
+        )
+        moduli = np.concatenate([plus.charge.moduli, minus.charge.moduli])[:3]
+        ts = np.concatenate([rng.uniform(0.05, 4.5, 12), moduli * (1.0 + np.array([1e-12, -1e-12, 3e-13]))])
+        cases.append((DeltaSubharmonicFn(plus=plus, minus=minus), ts))
+    t = 1.3
+    for k, sides in ((37, (0, 1)), (512, (1, 0))):
+        on_circle = [(complex(t * math.cos(_S_GRID[k]), t * math.sin(_S_GRID[k])), 0.7)]
+        parts = (_potential(on_circle + [(0.0, 0.4)]), _potential([(0.4 + 0.9j, 1.1), (-1.7, 0.6)]))
+        ts = np.array([t, t * (1 + 1e-12), 0.4, 2.0])
+        cases.append((DeltaSubharmonicFn(plus=parts[sides[0]], minus=parts[sides[1]]), ts))
+    return cases
+
+
+def test_cell_bounds_cover_the_grid_and_the_polished_peaks():
+    both = np.array([1.0, -1.0])
+    rng = np.random.default_rng(95)
+    for U, ts in _bound_cases():
+        sampler = CircleSampler(U)
+        coarse, bounds = sampler.cell_bounds(ts, both)
+        grid = sampler.grid_profile(ts)
+        assert np.array_equal(coarse, grid[:, ::16]) and not np.isnan(bounds).any()
+        cells = np.arange(_CIRCLE_GRID) // 16
+        for b, sign in enumerate(both):
+            vals = sign * grid
+            assert np.all(vals <= bounds[b][:, cells])
+            # A grid column on a cell edge also ends the cell before it.
+            assert np.all(vals[:, ::16] <= np.roll(bounds[b], 1, axis=1))
+            # The profile anywhere inside a cell, by the jet.
+            s = (np.arange(64)[:, None] + rng.random((64, 8))) * (2 * math.pi / 64)
+            with np.errstate(invalid="ignore"):
+                inside = sign * sampler.jet(ts[:, None, None], s[None])[0]
+            assert np.all((inside <= bounds[b][:, :, None]) | np.isnan(inside))
+        # Every Newton value from a grid peak lies below the bound of the
+        # cells its bracket touches.
+        _, _, (k, rows, cols, _, refined) = characteristics._extremes(sampler, ts, both)
+        cell = cols // 16
+        edge = np.where(cols % 16 == 0, (cell - 1) % 64, cell)
+        assert np.all(refined <= np.maximum(bounds[k, rows, cell], bounds[k, rows, edge]))
+
+
+def test_circle_maxima_skip_no_cell_that_could_win(monkeypatch):
+    # The pruned search gives the same floats as the whole grid, for every
+    # transform, on batches and on single radii alike.
+    for U, ts in _bound_cases():
+        for transform in ("id", "plus", "minus", "abs"):
+            got = {}
+            for prune_from in (1, 10**9):
+                monkeypatch.setattr(characteristics, "_PRUNE_RADII", prune_from)
+                characteristics._sampler.cache_clear()
+                got[prune_from] = (max_on_circles(U, ts, transform), [max_on_circles(U, ts[i : i + 1], transform) for i in range(3)])
+            assert np.array_equal(got[1][0], got[10**9][0])
+            assert all(np.array_equal(a, b) for a, b in zip(got[1][1], got[10**9][1]))
+
+
 def test_many_radii_take_the_grid_pass_in_chunks():
     # The first panels of a whole weighted integral come as one call; its
     # grid pass holds one chunk of radii at a time (all at once took 48 MB).

@@ -595,3 +595,23 @@ def test_lemma1_suite_csv_is_the_same_at_one_and_two_jobs(tmp_path):
         assert rc == 0
         csvs.append(out_csv.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+MAXIMA_CHECKERS = ("nevanlinna_ratio", "main_theorem_T", "main_theorem_M", "main_lemma", "small_intervals_ratio")
+
+
+@pytest.mark.parametrize("name", MAXIMA_CHECKERS)
+def test_maxima_rows_do_not_depend_on_skipped_cells(name, monkeypatch):
+    # The circle maxima search only the cells whose bound reaches the level
+    # they are read at; searching every cell must give the same rows.
+    cfg = SuiteConfig(seed=3, instances=2, checkers=(name,))
+
+    def rows():
+        for memo in (characteristics._sampler, characteristics.max_on_circle, characteristics._quad_mean, inequalities._maxima_integral):
+            memo.cache_clear()
+        return rows_to_csv(row for i in range(2) for row in run_unit(name, i, cfg)[0])
+
+    pruned = rows()
+    monkeypatch.setattr(characteristics, "_searched", lambda bounds, level: np.ones(np.shape(bounds), bool))
+    assert rows() == pruned
+    assert pruned.count("\n") > 2
