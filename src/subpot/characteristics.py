@@ -682,12 +682,22 @@ def _spike_angles(u: DeltaSubharmonicFn, r: float) -> list[float]:
     return angles
 
 
-def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
-    vals = sampler.grid_profile(np.array([r]))[0]
-    idx = sign_changes(vals)
-    lo = _S_GRID[idx]
+def _kink_angles(sampler: CircleSampler, r: float, bounds: np.ndarray) -> list[float]:
+    """Angles where the profile changes sign on the circle of radius ``r``: grid zeros, then Newton roots, each sorted.
+
+    ``bounds`` are the cell bounds of ``profile`` and ``-profile`` at ``r``
+    (signs x 1 x cells).  A cell where either lies below 0 is one-signed,
+    so only the other cells sample the grid; the result is the same as
+    from the whole grid.
+    """
+    cells = np.nonzero(_searched(bounds[:, 0], 0.0).all(axis=0))[0]
+    vals = sampler.cell_profile(np.full(cells.size, r), cells)[:, 1:-1]
+    zk, zpos = np.nonzero(vals == 0.0)
+    zeros = np.unique((_CELL_STEPS * cells[zk] + zpos) % _CIRCLE_GRID)
+    kk, pos = sign_changes(vals, periodic=False)
+    lo = _S_GRID[_CELL_STEPS * cells[kk] + pos]
     hi = lo + _TWO_PI / _CIRCLE_GRID
-    sign = np.sign(vals[idx])
+    sign = np.sign(vals[kk, pos])
 
     # sign(p(lo)) * p crosses zero downward in each cell.
     def lane_jet(s: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -696,7 +706,7 @@ def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
         return g, g, sign[lanes] * dp
 
     roots, _ = newton_crossing(lane_jet, lo, hi, 0.5 * (lo + hi))
-    return list(_S_GRID[np.nonzero(vals == 0.0)[0]]) + roots.tolist()
+    return list(_S_GRID[zeros]) + roots.tolist()
 
 
 @lru_cache(maxsize=4)
@@ -716,8 +726,11 @@ def _quad_mean(
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
     sampler = _sampler(v)
+    kinks: Sequence[float] = ()
+    if transform != "id":
+        _, bounds = sampler.cell_bounds(np.array([r]), np.array([1.0, -1.0]))
+        kinks = _kink_angles(sampler, r, bounds)
     hints = _spike_angles(sampler.u, r)
-    kinks = _kink_angles(sampler, r) if transform != "id" else ()
 
     def integrand(s: np.ndarray) -> np.ndarray:
         return wrap(sampler.profile(r, s))
