@@ -670,6 +670,20 @@ def _closed_mean(v: SubharmonicPotential, r: float) -> float:
         return v.const + float(np.sum(v.charge.masses * np.log(np.maximum(r, v.charge.moduli))))
 
 
+def _one_signed_mean(u: DeltaSubharmonicFn, r: float, sign: float, wrap: Callable) -> tuple[float, float]:
+    """Mean of ``wrap(v)`` over a circle where ``v`` has the sign ``sign`` throughout, with its rounding floor.
+
+    There ``wrap(v) = wrap(sign) * sign * v``, so the mean is 0 or the
+    closed mean of ``+-v``; the floor is QUADPACK's 50 eps times the sizes
+    of the closed mean's terms.
+    """
+    size = 0.0
+    for part in (u.plus, u.minus):
+        size += abs(part.const) + float(np.sum(part.charge.masses * np.abs(np.log(np.maximum(r, part.charge.moduli)))))
+    mean = _closed_mean(u.plus, r) - _closed_mean(u.minus, r)
+    return (sign * mean if wrap(sign) > 0.0 else 0.0), 50.0 * np.finfo(float).eps * size
+
+
 def _spike_angles(u: DeltaSubharmonicFn, r: float) -> list[float]:
     angles: list[float] = []
     for charge in (u.plus.charge, u.minus.charge):
@@ -729,6 +743,9 @@ def _quad_mean(
     kinks: Sequence[float] = ()
     if transform != "id":
         _, bounds = sampler.cell_bounds(np.array([r]), np.array([1.0, -1.0]))
+        below = (bounds[:, 0] < 0.0).all(axis=1)
+        if below.any():
+            return _one_signed_mean(sampler.u, r, -1.0 if below[0] else 1.0, wrap)
         kinks = _kink_angles(sampler, r, bounds)
     hints = _spike_angles(sampler.u, r)
 

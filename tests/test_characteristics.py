@@ -181,13 +181,20 @@ def test_periodic_mean_reports_the_rounding_floor():
 
 
 @pytest.mark.parametrize(
-    "transform,r,adaptive",
-    [("id", 1.2, False), ("plus", 3.0, False), ("id", 1.02, True), ("plus", 1.2, True), ("abs", 1.2, True)],
+    "transform,r,rules",
+    [
+        ("id", 1.2, ["integrate_periodic"]),
+        ("plus", 3.0, []),
+        ("id", 1.02, ["integrate"]),
+        ("plus", 1.2, ["integrate"]),
+        ("abs", 1.2, ["integrate"]),
+    ],
     ids=["smooth", "smooth_plus", "hint", "kink", "abs_kink"],
 )
-def test_mean_takes_the_adaptive_rule_only_for_a_hint_or_a_kink(transform, r, adaptive, monkeypatch):
+def test_mean_takes_the_adaptive_rule_only_for_a_hint_or_a_kink(transform, r, rules, monkeypatch):
     # Atoms at 1 (within 5 % of r = 1.02) and at 0.3 and -0.5i; the profile
-    # changes sign on r = 1.2, and is positive on r = 3.
+    # changes sign on r = 1.2, and is positive on r = 3, where the plus mean
+    # is the closed mean and needs no rule at all.
     U = _delta([(1.0, 1.0), (-0.5j, 2.0)], [(0.3, 1.5)], plus_const=0.2)
     used = []
     for name in ("integrate", "integrate_periodic"):
@@ -196,8 +203,37 @@ def test_mean_takes_the_adaptive_rule_only_for_a_hint_or_a_kink(transform, r, ad
     _quad_mean.cache_clear()
     mean = circle_mean_nonlinear(U, transform, r, MEAN_QUAD)
     _quad_mean.cache_clear()
-    assert used == ["integrate" if adaptive else "integrate_periodic"]
+    assert used == rules
     assert math.isfinite(mean.value) and mean.error_estimate <= 1e-9 * (1.0 + abs(mean.value))
+
+
+@pytest.mark.parametrize("transform", ["plus", "minus", "abs"])
+def test_one_signed_means_are_closed_forms(transform, monkeypatch):
+    # Where the cell bound proves the profile one-signed on the circle, the
+    # mean of its plus, minus or abs part is the closed mean of +-v or 0,
+    # with a rounding floor for its err; "id" keeps its quadrature, which
+    # cross-checks that same closed form.
+    plus, minus = [(1.0, 1.0), (-0.5j, 2.0)], [(0.3, 1.5)]
+    used = []
+    for name in ("integrate", "integrate_periodic"):
+        rule = getattr(characteristics, name)
+        monkeypatch.setattr(characteristics, name, lambda *a, rule=rule, name=name, **k: used.append(name) or rule(*a, **k))
+    wrap = characteristics.TRANSFORMS[transform]
+    for U, sign in ((_delta(plus, minus, plus_const=0.2), 1.0), (_delta(minus, plus, minus_const=0.2), -1.0)):
+        sampler = characteristics._sampler(U)
+        assert np.all(sign * sampler.grid_profile(np.array([3.0]))[0] > 0)
+        _quad_mean.cache_clear()
+        mean = circle_mean_nonlinear(U, transform, 3.0)
+        assert used == []
+        assert mean.value == (sign * circle_mean(U, 3.0).value if wrap(sign) > 0 else 0.0)
+        assert 0.0 < mean.error_estimate <= 1e-13
+        ref, _ = scipy_quad(lambda s: float(wrap(sampler.profile(3.0, s))), 0.0, 2 * math.pi, epsabs=1e-13)
+        assert abs(mean.value - ref / (2 * math.pi)) <= 1e-12
+        _quad_mean.cache_clear()
+        circle_mean_nonlinear(U, "id", 3.0)
+        assert used == ["integrate_periodic"]
+        used.clear()
+    _quad_mean.cache_clear()
 
 
 def test_plus_mean_reciprocal():
