@@ -6,8 +6,14 @@ that is the point value ``u(0)``, the one point value the package uses.
 Everything nonlinear samples one real kernel, :class:`CircleSampler`,
 which keeps each atom's share of the squared distance on one dense angular
 grid.  Circle maxima and minima polish each peak of that grid by
-safeguarded Newton on the profile's closed-form angular derivatives.
-Means of the plus, minus and abs parts (and of ``v`` itself, as a
+safeguarded Newton on the profile's closed-form angular derivatives.  A
+per-atom arc bound on 64 coarse cells of the grid
+(:meth:`CircleSampler.cell_bounds`) lets a search skip every cell that
+cannot reach the value it looks for: the circle maxima of a call with many
+radii, and the sign changes of the profile, come out as the same floats as
+from the whole grid.  Where the bound proves the profile one-signed on a
+circle, the mean of its plus, minus or abs part is the closed mean or 0.
+Other means of those parts (and every mean of ``v`` itself, as a
 cross-check) are quadratures over the angle.  Where no atom lies within
 5 % of the circle and the transformed profile has no kink, the integrand
 is periodic and analytic, and the periodic trapezoidal rule takes it;
@@ -362,8 +368,8 @@ def _pruned_maxima(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray, fl
     the edge of two searched cells is polished once.  A value in a skipped
     cell, grid or polished, lies below the level, so every maximum that
     reaches the level is the same float as :func:`_extremes` gives; one
-    below it may come out lower, but no lower than the level's coarse value
-    of its sign.  Radii go in chunks of ``_BOUND_CHUNK``, cells in chunks of
+    below it may come out lower, down to its sign's best coarse value.
+    Radii go in chunks of ``_BOUND_CHUNK``, cells in chunks of
     ``_FINE_CELLS``, and all peaks are polished as one set of lanes.
     """
     best = np.empty((signs.size, ts.size))
@@ -393,12 +399,6 @@ def _pruned_maxima(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray, fl
     # the fine grid.
     np.maximum.at(best, (k, rows), np.fmax(refined, peak))
     return best
-
-
-def _circle_extremes(sampler: CircleSampler, ts: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Profile maxima (sign 1) and minima (sign -1) at each radius, and the angles that attain them (see :func:`_extremes`)."""
-    best, angles, _ = _extremes(sampler, ts, signs)
-    return signs[:, None] * best, angles
 
 
 def _angle_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:

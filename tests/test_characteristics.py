@@ -25,7 +25,7 @@ from subpot import (
     radial_count,
 )
 import subpot.characteristics as characteristics
-from subpot.characteristics import _CIRCLE_GRID, _S_GRID, CircleSampler, _circle_extremes, _quad_mean
+from subpot.characteristics import _CIRCLE_GRID, _S_GRID, CircleSampler, _extremes, _quad_mean
 from subpot.inequalities import MEAN_QUAD, NORM_QUAD
 from subpot.quadrature import QuadratureSpec, integrate
 from subpot.search import grid_peaks
@@ -496,7 +496,8 @@ def test_circle_extremes_return_the_angles_that_attain_them():
     for _ in range(10):
         sampler = CircleSampler(DeltaSubharmonicFn(plus=_random_potential(rng), minus=_random_potential(rng)))
         ts = rng.uniform(0.05, 5.0, 15)
-        values, angles = _circle_extremes(sampler, ts, np.array([1.0, -1.0]))
+        best, angles, _ = _extremes(sampler, ts, np.array([1.0, -1.0]))
+        values = np.array([best[0], -best[1]])
         assert values.shape == angles.shape == (2, 15)
         at = sampler.profile(np.broadcast_to(ts, angles.shape), angles)
         assert np.all(np.abs(at - values) <= 1e-12 * np.maximum(np.abs(values), 1.0))
@@ -703,7 +704,7 @@ def test_cell_bounds_cover_the_grid_and_the_polished_peaks():
             assert np.all((inside <= bounds[b][:, :, None]) | np.isnan(inside))
         # Every Newton value from a grid peak lies below the bound of the
         # cells its bracket touches.
-        _, _, (k, rows, cols, _, refined) = characteristics._extremes(sampler, ts, both)
+        _, _, (k, rows, cols, _, refined) = _extremes(sampler, ts, both)
         cell = cols // 16
         edge = np.where(cols % 16 == 0, (cell - 1) % 64, cell)
         assert np.all(refined <= np.maximum(bounds[k, rows, cell], bounds[k, rows, edge]))
