@@ -69,9 +69,10 @@ _CELL_STEPS = 16
 _CELLS = _CIRCLE_GRID // _CELL_STEPS
 _BOUND_CHUNK = 64
 _FINE_CELLS = _GRID_CHUNK * _CELLS // 2
-# Calls with fewer radii search the whole grid: below this the bound pass
-# costs more than the cells it skips save.
-_PRUNE_RADII = 16
+# Calls with fewer radii search the whole grid: below about 10 radii the
+# bound pass costs more than the cells it skips save (measured on calls
+# taken from the maxima workload); 12 leaves a margin.
+_PRUNE_RADII = 12
 # Rounding slack of a cell bound: the sums of n + 1 terms behind the bound
 # and behind any value are each off by at most (n + 1) u times the sum of
 # the terms' sizes (u = 2**-53), and each log by u; 1e-10 of that size
