@@ -10,9 +10,9 @@ safeguarded Newton on the profile's closed-form angular derivatives.  A
 per-atom arc bound on 64 coarse cells of the grid
 (:meth:`CircleSampler.cell_bounds`) lets a search skip every cell that
 cannot reach the value it looks for: the circle maxima of a call with many
-radii, and the sign changes of the profile, come out as the same floats as
-from the whole grid.  Where the bound proves the profile one-signed on a
-circle, the mean of its plus, minus or abs part is the closed mean or 0.
+radii come out as the same floats as from the whole grid.  Where the bound
+proves the profile one-signed on a circle, the mean of its plus, minus or
+abs part is the closed mean or 0.
 Other means of those parts (and every mean of ``v`` itself, as a
 cross-check) are quadratures over the angle.  Where no atom lies within
 5 % of the circle and the transformed profile has no kink, the integrand
@@ -697,22 +697,12 @@ def _spike_angles(u: DeltaSubharmonicFn, r: float) -> list[float]:
     return angles
 
 
-def _kink_angles(sampler: CircleSampler, r: float, bounds: np.ndarray) -> list[float]:
-    """Angles where the profile changes sign on the circle of radius ``r``: grid zeros, then Newton roots, each sorted.
-
-    ``bounds`` are the cell bounds of ``profile`` and ``-profile`` at ``r``
-    (signs x 1 x cells).  A cell where either lies below 0 is one-signed,
-    so only the other cells sample the grid; the result is the same as
-    from the whole grid.
-    """
-    cells = np.nonzero(_searched(bounds[:, 0], 0.0).all(axis=0))[0]
-    vals = sampler.cell_profile(np.full(cells.size, r), cells)[:, 1:-1]
-    zk, zpos = np.nonzero(vals == 0.0)
-    zeros = np.unique((_CELL_STEPS * cells[zk] + zpos) % _CIRCLE_GRID)
-    kk, pos = sign_changes(vals, periodic=False)
-    lo = _S_GRID[_CELL_STEPS * cells[kk] + pos]
+def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
+    vals = sampler.grid_profile(np.array([r]))[0]
+    idx = sign_changes(vals)
+    lo = _S_GRID[idx]
     hi = lo + _TWO_PI / _CIRCLE_GRID
-    sign = np.sign(vals[kk, pos])
+    sign = np.sign(vals[idx])
 
     # sign(p(lo)) * p crosses zero downward in each cell.
     def lane_jet(s: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -721,7 +711,7 @@ def _kink_angles(sampler: CircleSampler, r: float, bounds: np.ndarray) -> list[f
         return g, g, sign[lanes] * dp
 
     roots, _ = newton_crossing(lane_jet, lo, hi, 0.5 * (lo + hi))
-    return list(_S_GRID[zeros]) + roots.tolist()
+    return list(_S_GRID[np.nonzero(vals == 0.0)[0]]) + roots.tolist()
 
 
 @lru_cache(maxsize=4)
@@ -747,7 +737,7 @@ def _quad_mean(
         below = (bounds[:, 0] < 0.0).all(axis=1)
         if below.any():
             return _one_signed_mean(sampler.u, r, -1.0 if below[0] else 1.0, wrap)
-        kinks = _kink_angles(sampler, r, bounds)
+        kinks = _kink_angles(sampler, r)
     hints = _spike_angles(sampler.u, r)
 
     def integrand(s: np.ndarray) -> np.ndarray:

@@ -44,14 +44,9 @@ def grid_peaks(vals: np.ndarray, periodic: bool) -> tuple[np.ndarray, ...]:
     return np.unravel_index(np.flatnonzero(mask), mask.shape)
 
 
-def sign_changes(vals: np.ndarray, periodic: bool) -> tuple[np.ndarray, ...]:
-    """Indices ``i`` along the last axis with ``v[i]`` and ``v[i+1]`` of strictly opposite sign.
-
-    A periodic grid pairs its last point with its first; on any other grid
-    the last point starts no pair.
-    """
-    nxt = np.roll(vals, -1, axis=-1) if periodic else vals[..., 1:]
-    return np.nonzero(vals[..., : nxt.shape[-1]] * nxt < 0)
+def sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Indices ``i`` of a periodic 1-D grid with ``v[i]`` and ``v[i+1]`` of strictly opposite sign."""
+    return np.nonzero(vals * np.roll(vals, -1) < 0)[0]
 
 
 def newton_crossing(f: JetFn, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

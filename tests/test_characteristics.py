@@ -264,7 +264,7 @@ def test_plus_mean_takes_kinks_as_plain_edges(monkeypatch):
     U = _delta([(1.0, 1.0), (-0.5j, 2.0)], [(0.3, 1.5)], plus_const=0.2)
     r = 1.2
     sampler = characteristics._sampler(U)
-    kinks = characteristics._kink_angles(sampler, r, sampler.cell_bounds(np.array([r]), np.array([1.0, -1.0]))[1])
+    kinks = characteristics._kink_angles(sampler, r)
     assert len(kinks) == 2
 
     def plus(s):
@@ -722,18 +722,6 @@ def test_circle_maxima_skip_no_cell_that_could_win(monkeypatch):
                 got[prune_from] = (max_on_circles(U, ts, transform), [max_on_circles(U, ts[i : i + 1], transform) for i in range(3)])
             assert np.array_equal(got[1][0], got[10**9][0])
             assert all(np.array_equal(a, b) for a, b in zip(got[1][1], got[10**9][1]))
-
-
-def test_kink_angles_take_only_cells_with_both_signs():
-    U = _delta([(1.0, 1.0), (-0.5j, 2.0)], [(0.3, 1.5)], plus_const=0.2)
-    sampler = characteristics._sampler(U)
-    found = 0
-    for r in (0.9, 1.2, 2.0):
-        bounds = sampler.cell_bounds(np.array([r]), np.array([1.0, -1.0]))[1]
-        kinks = characteristics._kink_angles(sampler, r, bounds)
-        assert kinks == characteristics._kink_angles(sampler, r, np.full(bounds.shape, np.inf))
-        found += len(kinks)
-    assert found >= 2
 
 
 def test_many_radii_take_the_grid_pass_in_chunks():

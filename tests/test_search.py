@@ -158,7 +158,4 @@ def test_grid_peaks_match_the_two_roll_reference(shape, periodic):
 def test_sign_changes_wrap_and_skip_zeros():
     vals = np.array([-1.0, 2.0, 0.0, -3.0, -1.0, 1.0])
     # The zero at index 2 is no strict sign change; 5 -> 0 is, via the wrap.
-    assert sign_changes(vals, periodic=True)[0].tolist() == [0, 4, 5]
-    # Without the wrap the last point starts no pair; rows are separate grids.
-    rows, cols = sign_changes(np.array([vals, -vals[::-1]]), periodic=False)
-    assert rows.tolist() == [0, 0, 1, 1] and cols.tolist() == [0, 4, 0, 4]
+    assert sign_changes(vals).tolist() == [0, 4, 5]
