@@ -720,6 +720,11 @@ def _quad_mean(
 ) -> tuple[float, float]:
     """(1/2pi) * integral of transform(v) over the circle, and its error estimate, by quadrature.
 
+    For plus, minus and abs, where the cell bounds prove the profile
+    one-signed, the result is instead the closed mean of +-v, or 0, with
+    the rounding floor ``50 eps`` times its terms' sizes as error (see
+    :func:`_one_signed_mean`); ``id`` always takes quadrature.
+
     Atoms within ``_SPIKE_REL`` of the circle give angular hints, and the
     profile's sign changes (for plus, minus and abs) give kinks.  Without
     either the integrand is smooth and periodic, and

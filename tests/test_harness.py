@@ -597,7 +597,7 @@ def test_lemma1_suite_csv_is_the_same_at_one_and_two_jobs(tmp_path):
     assert csvs[0] == csvs[1]
 
 
-MAXIMA_CHECKERS = ("nevanlinna_ratio", "main_theorem_T", "main_theorem_M", "main_lemma", "small_intervals_ratio")
+MAXIMA_CHECKERS = ("lemma1", "nevanlinna_ratio", "main_theorem_T", "main_theorem_M", "main_lemma", "small_intervals_ratio")
 
 
 @pytest.mark.parametrize("name", MAXIMA_CHECKERS)
