@@ -146,6 +146,17 @@ def rng_for(seed: int, checker: str, index: int) -> tuple[np.random.Generator, i
 # --- canonical row rendering ----------------------------------------------
 
 def _sanitize(obj):
+    """``obj`` as plain JSON data.
+
+    Numpy scalars become builtins, tuples lists, and non-finite floats the
+    strings ``"inf"``, ``"-inf"`` and ``"nan"``.  Plain values, the bulk of
+    every document, take the first tests.
+    """
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -155,35 +166,23 @@ def _sanitize(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
+        return _sanitize(float(obj))
     return obj
 
 
-# What json.dumps(..., sort_keys=True, separators=(",", ":")) builds on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# What json.dumps(..., sort_keys=True, separators=(",", ":"), allow_nan=False)
+# builds on every call.  A non-finite float raises instead of being written
+# as JSON that no standard parser reads.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _dumps(clean: object) -> str:
+    """The canonical JSON of a document that is plain JSON data already."""
     return _ENCODER.encode(clean)
 
 
 def canonical_json(doc: object) -> str:
     return _dumps(_sanitize(doc))
-
-
-def _json_members(clean: dict) -> dict[str, str]:
-    """The ``"key":value`` members of ``_dumps(clean)``, by key."""
-    return {key: _dumps({key: value})[1:-1] for key, value in clean.items()}
-
-
-def _json_object(members: dict[str, str]) -> str:
-    """``_dumps`` of the sanitised document whose :func:`_json_members` are ``members``."""
-    return "{" + ",".join(members[key] for key in sorted(members)) + "}"
 
 
 def _digest(text: str) -> str:
@@ -195,10 +194,10 @@ def _fingerprint(doc: dict) -> str:
     return _digest(canonical_json(doc))
 
 
-def _row_from_report(rep: BoundReport, subseed: int) -> dict:
-    params = dict(rep.params)
-    params["fingerprint"] = rep.instance_fingerprint
-    params["degenerate"] = rep.degenerate
+def _row_from_report(rep: BoundReport, subseed: int, fingerprint: str) -> dict:
+    params = _sanitize(rep.params)
+    params["fingerprint"] = fingerprint
+    params["degenerate"] = bool(rep.degenerate)
     return {
         "name": rep.name,
         "seed": subseed,
@@ -209,7 +208,7 @@ def _row_from_report(rep: BoundReport, subseed: int) -> dict:
         "err": rep.error_estimate,
         "degenerate": rep.degenerate,
         "a_min": rep.params.get("a_min"),
-        "params_json": canonical_json(params),
+        "params_json": _dumps(params),
     }
 
 
@@ -668,19 +667,19 @@ def run_check(name: str, doc: dict, quad: Optional[QuadratureSpec] = None) -> Bo
     The report's ``instance_fingerprint`` is a hash of the document's
     canonical JSON; checkers called directly leave it empty.
     """
-    return _check(name, doc, quad, _fingerprint(doc))
-
-
-def _check(name: str, doc: dict, quad: Optional[QuadratureSpec], fingerprint: str) -> BoundReport:
-    """:func:`run_check` on ``doc``, whose fingerprint the caller supplies."""
-    rep = _spec(name).call(doc, quad)
-    return replace(rep, instance_fingerprint=fingerprint)
+    return replace(_spec(name).call(doc, quad), instance_fingerprint=_fingerprint(doc))
 
 
 # --- suite runner -----------------------------------------------------------
 
 def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[dict]]:
-    """All rows for one (checker, instance index) unit."""
+    """All rows for one (checker, instance index) unit.
+
+    The generators emit plain JSON data with finite floats, which
+    ``_sanitize`` would return unchanged, so each combo's document is
+    fingerprinted as it is: a non-finite float raises rather than hashing
+    differently from :func:`run_check`.
+    """
     rng, subseed = rng_for(cfg.seed, name, index)
     quad = cfg.quad_override()
     try:
@@ -689,15 +688,14 @@ def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[
         return [], [
             {"name": name, "index": index, "seed": subseed, "stage": "generate", "message": str(exc)}
         ]
+    call = _spec(name).call
     rows: list[dict] = []
     failures: list[dict] = []
-    # The base document is the bulk of each combo's; dump its members once.
-    base = _json_members(_sanitize(inst.base_doc))
     for combo in inst.combos:
         doc = {**inst.base_doc, **combo}
+        fingerprint = _digest(_dumps(doc))
         try:
-            fingerprint = _digest(_json_object({**base, **_json_members(_sanitize(combo))}))
-            rep = _check(name, doc, quad, fingerprint)
+            rep = call(doc, quad)
         except (QuadratureError, ValueError) as exc:
             # ValueError covers any instance a checker rejects; one bad
             # combo must not abort the suite.
@@ -711,7 +709,7 @@ def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[
                 }
             )
             continue
-        rows.append(_row_from_report(rep, subseed))
+        rows.append(_row_from_report(rep, subseed, fingerprint))
     return rows, failures
 
 

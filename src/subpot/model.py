@@ -145,19 +145,6 @@ class RationalFunctionSpec:
         if zero_centers & pole_centers:
             raise ValueError("zeros and poles must have disjoint centers")
 
-    def abs_value(self, z: complex) -> float:
-        """Direct |f(z)|, for cross-checks against the potential route."""
-        z = complex(z)
-        num = self.scale
-        for c, m in self.zeros.atoms:
-            num *= abs(z - c) ** m
-        den = 1.0
-        for c, m in self.poles.atoms:
-            den *= abs(z - c) ** m
-        if den == 0.0:
-            return math.inf
-        return num / den
-
 
 def ln_abs(f: RationalFunctionSpec) -> DeltaSubharmonicFn:
     """``ln|f|`` as a difference of potentials (zeros up, poles down)."""

@@ -401,17 +401,50 @@ def test_clear_memos_clears_the_lp_norm_memo():
 
 @pytest.mark.parametrize("name", ALL_CHECKERS)
 def test_unit_fingerprints_hash_the_whole_document(name):
+    # run_unit hashes each combo's document without a _sanitize pass; the
+    # fingerprint must be run_check's, which hashes the sanitised document.
     cfg = SuiteConfig()
     inst = generate_instance(name, rng_for(cfg.seed, name, 0)[0], cfg)
     rows, failures = run_unit(name, 0, cfg)
     assert failures == [] and len(rows) == len(inst.combos)
-    # run_unit dumps the base document's members once and joins them with
-    # each combo's: the text must be the merged document's dump, bit for bit.
-    base = harness._json_members(harness._sanitize(inst.base_doc))
     for row, combo in zip(rows, inst.combos):
-        doc = {**inst.base_doc, **combo}
-        assert harness._json_object({**base, **harness._json_members(harness._sanitize(combo))}) == canonical_json(doc)
-        assert json.loads(row["params_json"])["fingerprint"] == harness._fingerprint(doc)
+        assert json.loads(row["params_json"])["fingerprint"] == harness._fingerprint({**inst.base_doc, **combo})
+
+
+def _plain_json_data(obj):
+    """Whether ``obj`` is built of exact dicts with str keys, lists, str, int, bool, None and finite floats."""
+    kind = type(obj)
+    if kind is dict:
+        return all(type(k) is str and _plain_json_data(v) for k, v in obj.items())
+    if kind is list:
+        return all(_plain_json_data(v) for v in obj)
+    if kind is float:
+        return math.isfinite(obj)
+    return kind in (str, int, bool) or obj is None
+
+
+@pytest.mark.parametrize("seed", [SuiteConfig().seed, 2])
+def test_generated_documents_need_no_sanitising(seed):
+    # run_unit fingerprints the documents as they are: no tuple, numpy
+    # scalar or non-finite float may reach it.
+    cfg = SuiteConfig(seed=seed)
+    for name in ALL_CHECKERS:
+        for index in range(20):
+            inst = generate_instance(name, rng_for(seed, name, index)[0], cfg)
+            for doc in (inst.base_doc, *inst.combos):
+                assert _plain_json_data(doc), (name, index, doc)
+                assert harness._sanitize(doc) == doc
+
+
+def test_unit_fingerprint_rejects_a_non_finite_value(monkeypatch):
+    spec = harness.CHECKERS["lemma3"]
+
+    def generate(rng, cfg):
+        return {**spec.generate(rng, cfg), "a": math.nan}
+
+    monkeypatch.setitem(harness.CHECKERS, "lemma3", dataclasses.replace(spec, generate=generate))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        run_unit("lemma3", 0, SMALL)
 
 
 @pytest.mark.parametrize(
