@@ -15,6 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -135,23 +136,38 @@ class GeneratedInstance:
     combos: tuple[dict, ...]
 
 
+@lru_cache(maxsize=1)
+def _philox_key() -> type:
+    """A seed sequence type that hands ``Philox`` its key.
+
+    ``Philox(key=key)`` gives the same stream but first seeds a sequence it
+    never reads from operating-system entropy, which doubles its cost.  Built
+    on first use, as importing ``numpy.random`` adds 10-17 ms to start-up.
+    """
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.key
+
+    return PhiloxKey
+
+
 def rng_for(seed: int, checker: str, index: int) -> tuple[np.random.Generator, int]:
     """Philox generator plus row seed, keyed by hashing (seed, checker, index)."""
     digest = hashlib.blake2b(f"{seed}:{checker}:{index}".encode(), digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)
     subseed = int.from_bytes(digest[:8], "little")
-    return np.random.Generator(np.random.Philox(key=key)), subseed
+    return np.random.Generator(np.random.Philox(_philox_key()(key))), subseed
 
 
 # --- canonical row rendering ----------------------------------------------
 
 def _sanitize(obj):
-    """``obj`` as plain JSON data.
-
-    Numpy scalars become builtins, tuples lists, and non-finite floats the
-    strings ``"inf"``, ``"-inf"`` and ``"nan"``.  Plain values, the bulk of
-    every document, take the first tests.
-    """
+    """``obj`` as plain JSON data: builtin scalars and lists, and ``"inf"``,
+    ``"-inf"`` or ``"nan"`` for a non-finite float; plain values go first."""
     kind = type(obj)
     if kind is float:
         return obj if math.isfinite(obj) else repr(obj)
@@ -171,8 +187,7 @@ def _sanitize(obj):
 
 
 # What json.dumps(..., sort_keys=True, separators=(",", ":"), allow_nan=False)
-# builds on every call.  A non-finite float raises instead of being written
-# as JSON that no standard parser reads.
+# builds on every call; a non-finite float raises instead of writing bad JSON.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
@@ -675,10 +690,8 @@ def run_check(name: str, doc: dict, quad: Optional[QuadratureSpec] = None) -> Bo
 def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[dict]]:
     """All rows for one (checker, instance index) unit.
 
-    The generators emit plain JSON data with finite floats, which
-    ``_sanitize`` would return unchanged, so each combo's document is
-    fingerprinted as it is: a non-finite float raises rather than hashing
-    differently from :func:`run_check`.
+    The generators emit plain JSON data with finite floats, so each combo's
+    document is hashed without a ``_sanitize`` pass; a non-finite float raises.
     """
     rng, subseed = rng_for(cfg.seed, name, index)
     quad = cfg.quad_override()

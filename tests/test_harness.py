@@ -58,6 +58,16 @@ def test_rng_stream_is_keyed_by_checker_and_index():
     assert len(draws) == 3
 
 
+def test_rng_stream_is_philox_on_the_hashed_key():
+    for seed, name, index in [(5, "lemma2", 0), (SuiteConfig().seed, "main_theorem_T", 24)]:
+        rng, subseed = rng_for(seed, name, index)
+        digest = hashlib.blake2b(f"{seed}:{name}:{index}".encode(), digest_size=16).digest()
+        ref = np.random.Generator(np.random.Philox(key=np.frombuffer(digest, dtype=np.uint64)))
+        assert subseed == int.from_bytes(digest[:8], "little")
+        assert rng.random(8).tolist() == ref.random(8).tolist()
+        assert rng.integers(0, 2**62, 8).tolist() == ref.integers(0, 2**62, 8).tolist()
+
+
 def test_generated_instances_are_deterministic():
     cfg = SuiteConfig(seed=11, instances=1)
     for name in ALL_CHECKERS:
