@@ -14,8 +14,8 @@ from .quadrature import DEFAULT_QUAD, QuadratureSpec, first_panel_nodes, integra
 
 _LP_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
 
-# Where rearranged_majorant checks that a profile decreases, in units of a.
-_DECREASE_GRID = np.unique(np.concatenate([np.geomspace(1e-9, 1.0, 200), np.linspace(1e-4, 1.0, 200)]))
+# Where rearranged_majorant checks that a profile decreases, in units of a (np.unique would import numpy.ma).
+_DECREASE_GRID = np.sort(np.concatenate([np.geomspace(1e-9, 1.0, 200), np.linspace(1e-4, 1.0, 200)]))
 
 
 def _normalize(intervals: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
