@@ -138,12 +138,9 @@ class GeneratedInstance:
 
 @lru_cache(maxsize=1)
 def _philox_key() -> type:
-    """A seed sequence type that hands ``Philox`` its key.
-
-    ``Philox(key=key)`` gives the same stream but first seeds a sequence it
-    never reads from operating-system entropy, which doubles its cost.  Built
-    on first use, as importing ``numpy.random`` adds 10-17 ms to start-up.
-    """
+    """A seed sequence type that hands ``Philox`` its key, built on first use (importing
+    ``numpy.random`` adds 10-17 ms to start-up).  ``Philox(key=key)`` gives the same
+    stream, but seeds a sequence it never reads from OS entropy at twice the cost."""
 
     class PhiloxKey(np.random.bit_generator.ISeedSequence):
         def __init__(self, key: np.ndarray):
@@ -688,11 +685,7 @@ def run_check(name: str, doc: dict, quad: Optional[QuadratureSpec] = None) -> Bo
 # --- suite runner -----------------------------------------------------------
 
 def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[dict]]:
-    """All rows for one (checker, instance index) unit.
-
-    The generators emit plain JSON data with finite floats, so each combo's
-    document is hashed without a ``_sanitize`` pass; a non-finite float raises.
-    """
+    """All rows for one (checker, instance index) unit."""
     rng, subseed = rng_for(cfg.seed, name, index)
     quad = cfg.quad_override()
     try:
@@ -706,6 +699,7 @@ def run_unit(name: str, index: int, cfg: SuiteConfig) -> tuple[list[dict], list[
     failures: list[dict] = []
     for combo in inst.combos:
         doc = {**inst.base_doc, **combo}
+        # Generators emit plain JSON data, so no _sanitize pass; a non-finite float raises.
         fingerprint = _digest(_dumps(doc))
         try:
             rep = call(doc, quad)

@@ -108,10 +108,13 @@ def canonicalize(u: DeltaSubharmonicFn) -> DeltaSubharmonicFn:
 
     The pointwise difference is unchanged; constants are kept, except that
     full cancellation to identical atomless components collapses to the
-    zero representation.
+    zero representation.  A ``u`` that is canonical already comes back as it is.
     """
-    net: dict[complex, float] = {c: m for c, m in u.plus.charge.atoms}
-    for c, m in u.minus.charge.atoms:
+    plus, minus = u.plus.charge.atoms, u.minus.charge.atoms
+    if {c for c, _ in plus}.isdisjoint(c for c, _ in minus) and (plus or minus or u.plus.const != u.minus.const):
+        return u
+    net: dict[complex, float] = dict(plus)
+    for c, m in minus:
         net[c] = net.get(c, 0.0) - m
     plus_atoms = tuple((c, m) for c, m in net.items() if m > 0.0)
     minus_atoms = tuple((c, -m) for c, m in net.items() if m < 0.0)

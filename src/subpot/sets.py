@@ -14,8 +14,11 @@ from .quadrature import DEFAULT_QUAD, QuadratureSpec, first_panel_nodes, integra
 
 _LP_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
 
-# Where rearranged_majorant checks that a profile decreases, in units of a (np.unique would import numpy.ma).
-_DECREASE_GRID = np.sort(np.concatenate([np.geomspace(1e-9, 1.0, 200), np.linspace(1e-4, 1.0, 200)]))
+
+@lru_cache(maxsize=1)
+def _decrease_grid() -> np.ndarray:
+    """Where rearranged_majorant checks that a profile decreases, in units of a (np.unique imports numpy.ma)."""
+    return np.sort(np.concatenate([np.geomspace(1e-9, 1.0, 200), np.linspace(1e-4, 1.0, 200)]))
 
 
 def _normalize(intervals: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -253,7 +256,7 @@ def rearranged_majorant(
         return np.asarray(f(np.abs(np.asarray(t, float))), float)
 
     # Reject profiles that fail to decrease away from the origin.
-    gv = np.asarray(f(a * _DECREASE_GRID), float)
+    gv = np.asarray(f(a * _decrease_grid()), float)
     scale = float(np.max(np.abs(gv[np.isfinite(gv)]))) if np.any(np.isfinite(gv)) else 1.0
     if np.any(np.diff(gv) > 1e-12 * (1.0 + scale)):
         raise ValueError("profile is not decreasing on (0, a)")

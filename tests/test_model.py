@@ -90,6 +90,14 @@ def test_canonicalize_disjoint_is_identity():
     assert c.minus.charge.atoms == U.minus.charge.atoms
     assert c.plus.const == U.plus.const
     assert c.minus.const == U.minus.const
+    assert c is U
+
+
+def test_canonicalize_atomless_equal_constants_give_zero_function():
+    c = canonicalize(_delta([], [], 0.4, 0.4))
+    assert c.plus.charge.is_empty and c.minus.charge.is_empty
+    assert c.plus.const == 0.0 and c.minus.const == 0.0
+    assert canonicalize(_delta([], [], 0.4, -0.1)).plus.const == 0.4
 
 
 def test_canonicalize_full_cancellation_gives_zero_function():
