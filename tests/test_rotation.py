@@ -48,8 +48,9 @@ def _transformed(doc, move):
     return {key: _moved_atoms(value, move) if key in ATOM_KEYS else value for key, value in doc.items()}
 
 
+ROTATION = cmath.exp(1j * ALPHA)
 TRANSFORMS = {
-    "rotation": lambda z, w=cmath.exp(1j * ALPHA): w * z,
+    "rotation": lambda z: ROTATION * z,
     "conjugation": lambda z: z.conjugate(),
 }
 
