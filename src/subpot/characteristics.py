@@ -78,14 +78,16 @@ _PRUNE_RADII = 12
 # the terms' sizes (u = 2**-53), and each log by u; 1e-10 of that size
 # covers both for any atom count up to 10**5.
 _SUM_SLACK = 1e-10
-# Beside an atom, D is computed with a relative error of at most about
-# (pi + 6) u (t + rho) / sqrt(D) (the angle s - theta on the grid, the
-# offsets x - Re a in the jet); a term h ln D is off by |h| times that, and
-# sqrt(D) >= |t - rho| on the circle, so each atom adds 16 u |h| (t + rho) /
-# |t - rho|.  That linear model holds while |t - rho| is far above
-# u (t + rho); a circle closer than 1e-9 (t + rho) to an atom is searched
-# whole.
-_NEAR_SLACK = 16.0 * np.finfo(float).eps / 2.0
+# Beside an atom only the rounding of the angle s - theta grows: |s - theta|
+# < 16 for every angle read (within a grid step of [0, 2 pi)), so it is off
+# by at most 8 u, and |dD/ds| = 4 t rho |sigma gamma| <= (t + rho) sqrt(D).
+# With at most 8 u D from the other roundings and sqrt(D) <= t + rho, a term
+# h ln D is off by at most 16 u |h| (t + rho) / sqrt(D), and sqrt(D) >= |t -
+# rho| on the circle; a bound and a value it covers are each off that much,
+# so each atom adds 32 u |h| (t + rho) / |t - rho|.  That linear model holds
+# while |t - rho| is far above u (t + rho); a circle closer than 1e-9 (t +
+# rho) to an atom is searched whole.
+_NEAR_SLACK = 32.0 * np.finfo(float).eps / 2.0
 _NEAR_LIMIT = 1e9
 
 # Rounds of kink refinement: a root where a third branch leads splits its bracket.
@@ -146,65 +148,71 @@ def _atom_sum(x: np.ndarray) -> np.ndarray:
 
 
 class CircleSampler:
-    """Profile values of a canonical difference at ``t * e^{is}``, from one real kernel.
+    """Profile values of a canonical difference at ``t * e^{is}``, from one polar kernel.
 
-    With ``x + iy = t e^{is}``, atom ``a`` of signed mass ``m`` (negative on
-    the minus component) adds ``m ln D / 2``, ``D = (x - Re a)**2 + (y - Im a)**2``.
-    Atoms lie on the leading axis, and :func:`_atom_sum` adds them one
-    after another for any number of points, so a point's value has the same
-    bits alone as inside a batch.
+    Each atom is kept as ``(rho, theta, h)``: modulus, angle and half its
+    signed mass (negative on the minus component).  It adds ``h ln D``, with
+    ``D = t G + (t - rho)**2`` and ``G = 4 rho sin^2((s - theta)/2)``;
+    neither term cancels beside the atom.  :meth:`_at` forms every ``G``, at
+    given angles or once on the shared grid, and :meth:`_distance` every
+    ``D``, so a value at a grid angle has the same bits either way; the
+    derivatives come from the same half angle.  Atoms lie on the leading
+    axis, and :func:`_atom_sum` adds them one after another for any number
+    of points, so a point's value has the same bits alone as inside a batch.
     """
 
     def __init__(self, u: DeltaSubharmonicFn):
         self.u = u = canonicalize(u)
         centers = np.concatenate([u.plus.charge.centers, u.minus.charge.centers])
         half_masses = 0.5 * np.concatenate([u.plus.charge.masses, -u.minus.charge.masses])
-        self._atoms = np.array([centers.real, centers.imag, half_masses])
+        self._atoms = np.array([np.abs(centers), np.angle(centers), half_masses])
         self._c0 = u.plus.const - u.minus.const
 
-    def _offsets(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Points ``x, y``, offsets ``x - Re a, y - Im a`` and the atom columns ``Re a, Im a, m/2``."""
-        t, s = np.asarray(t, float), np.asarray(s, float)
-        x, y = t * np.cos(s), t * np.sin(s)
-        re, im, h = self._atoms.reshape((3, -1) + (1,) * x.ndim)
-        return x, y, x - re, y - im, re, im, h
+    def _columns(self, ndim: int) -> np.ndarray:
+        """The atom rows ``rho, theta, h``, each shaped to broadcast against points with ``ndim`` axes."""
+        return self._atoms.reshape((3, -1) + (1,) * ndim)
 
-    def _log_sum(self, d: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def _distance(self, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """``D = t G + (t - rho)**2`` per atom, for ``G`` with the atom axis first and radii ``t`` that broadcast against its other axes."""
+        d = g * t
+        d += (t - self._columns(g.ndim - 1)[0]) ** 2
+        return d
+
+    def _log_sum(self, d: np.ndarray) -> np.ndarray:
         """``c0 + sum h ln D``, overwriting ``D``; ``D = 0`` gives -inf (plus atom) or +inf (minus atom)."""
         np.log(d, out=d)
-        d *= h
+        d *= self._columns(d.ndim - 1)[2]
         return self._c0 + _atom_sum(d)
 
+    def _at(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+        """At the points ``t * e^{is}``: ``t`` and, per atom, ``phi/2 = (s - theta)/2``, ``sigma = sin(phi/2)``, ``G = 4 rho sigma**2`` and ``D``."""
+        t, s = np.asarray(t, float), np.asarray(s, float)
+        rho, theta, _ = self._columns(max(t.ndim, s.ndim))
+        half = 0.5 * (s - theta)
+        sigma = np.sin(half)
+        g = 4.0 * rho * sigma**2
+        return t, half, sigma, g, self._distance(t, g)
+
     def profile(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        _, _, dx, dy, _, _, h = self._offsets(t, s)
-        dx *= dx
-        dx += np.multiply(dy, dy, out=dy)
+        d = self._at(t, s)[-1]
         with np.errstate(divide="ignore"):
-            return self._log_sum(dx, h)
+            return self._log_sum(d)
 
     @cached_property
-    def _polar_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per atom, ``rho`` and ``G = 4 rho sin^2((s - theta)/2)`` on the shared grid, so ``D = (t - rho)**2 + t G``.
-
-        Neither term cancels beside the atom.  Built on first use, because
-        the quadrature route to the circle mean of ``v`` itself never visits
-        the grid.
-        """
-        centers = self._atoms[0] + 1j * self._atoms[1]
-        rho = np.abs(centers)[:, None]
-        return rho, 4.0 * rho * np.sin(0.5 * (_S_GRID - np.angle(centers)[:, None])) ** 2
+    def _polar_grid(self) -> np.ndarray:
+        """Per atom, ``G`` on the shared grid (any ``t`` gives it); built on first use, as the quadrature route to the mean of ``v`` never visits the grid."""
+        return self._at(0.0, _S_GRID)[3]
 
     @cached_property
     def _cell_layout(self) -> tuple[np.ndarray, ...]:
-        """``rho`` and ``G`` at the coarse points (grid columns 0, 16, ..., 1008 and 0 again), and per atom the cells that may hold its angle and its antipode.
+        """``G`` at the coarse points (grid columns 0, 16, ..., 1008 and 0 again), and per atom the cells that may hold its angle and its antipode.
 
         An angle within 1e-9 of a cell edge counts in both cells beside it.
         """
-        rho, g = self._polar_grid
-        pos = (np.arctan2(self._atoms[1], self._atoms[0]) % _TWO_PI) * (_CELLS / _TWO_PI)
+        pos = (self._atoms[1] % _TWO_PI) * (_CELLS / _TWO_PI)
         near = np.floor(pos[:, None] + np.array([-1e-9, 1e-9])).astype(int) % _CELLS
         coarse = np.arange(0, _CIRCLE_GRID + 1, _CELL_STEPS) % _CIRCLE_GRID
-        return rho, np.take(g, coarse, axis=1), near, (near + _CELLS // 2) % _CELLS
+        return np.take(self._polar_grid, coarse, axis=1), near, (near + _CELLS // 2) % _CELLS
 
     def cell_bounds(self, ts: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coarse values and cell bounds of the profile at each radius in ``ts``.
@@ -223,12 +231,11 @@ class CircleSampler:
         (t + rho)**2``.  A bound is +inf where its slack is not finite (an atom
         within 1e-9 (t + rho) of the circle), so it is never NaN.
         """
-        rho, gc, near_cells, far_cells = self._cell_layout
-        h = self._atoms[2][:, None]
+        gc, near_cells, far_cells = self._cell_layout
+        rho, _, h = self._columns(1)
         lanes = np.arange(h.size)[:, None]
         gap, span = (ts - rho) ** 2, (ts + rho) ** 2
-        d = gc[:, None, :] * ts[:, None]
-        d += gap[:, :, None]
+        d = self._distance(ts[:, None], gc[:, None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             ln_gap, ln_span = np.log(gap), np.log(span)
             # Every term on the circle lies between h ln gap and h ln span.
@@ -256,43 +263,40 @@ class CircleSampler:
 
     def cell_profile(self, ts: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Grid values at radius ``ts[k]`` on coarse cell ``cells[k]``'s 17 columns and one column beyond each end (one row per ``k``)."""
-        rho, g = self._polar_grid
         cols = (_CELL_STEPS * cells[:, None] + np.arange(-1, _CELL_STEPS + 2)) % _CIRCLE_GRID
         # take, not g[:, cols], which would put the atom axis innermost.
-        d = np.take(g, cols, axis=1)
-        d *= ts[:, None]
-        d += ((ts - rho) ** 2)[:, :, None]
+        d = self._distance(ts[:, None], np.take(self._polar_grid, cols, axis=1))
         with np.errstate(divide="ignore"):
-            return self._log_sum(d, self._atoms[2][:, None, None])
+            return self._log_sum(d)
 
     def grid_profile(self, ts: np.ndarray) -> np.ndarray:
         """Profile values at each radius in ``ts`` (rows) and each angle of the shared grid (columns)."""
-        rho, g = self._polar_grid
-        d = g[:, None, :] * ts[:, None]
-        d += ((ts - rho) ** 2)[:, :, None]
+        d = self._distance(ts[:, None], self._polar_grid[:, None, :])
         with np.errstate(divide="ignore"):
-            return self._log_sum(d, self._atoms[2][:, None, None])
+            return self._log_sum(d)
 
     def radial_slope(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Radial derivative of the profile at ``t * e^{is}``: atom ``a`` adds ``m (t - Re(a e^{-is})) / D``."""
-        _, _, dx, dy, _, _, h = self._offsets(t, s)
+        """Radial derivative of the profile at ``t * e^{is}``: atom ``(rho, theta, h)`` adds ``h (2 (t - rho) + G) / D``."""
+        t, _, _, g, d = self._at(t, s)
+        rho, _, h = self._columns(d.ndim - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _atom_sum(2.0 * h * (dx * np.cos(s) + dy * np.sin(s)) / (dx * dx + dy * dy))
+            return _atom_sum(h * (2.0 * (t - rho) + g) / d)
 
     def jet(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Profile value and its first two angular derivatives at ``t * e^{is}``.
 
-        With ``N' + iN = z conj(a)`` and ``q = 2N/D``, atom ``a`` adds ``m q/2``
-        and ``m (2N'/D - q**2)/2`` (NaN on the atom); ``N`` comes from the
-        offsets, so it stays accurate beside the atom.
+        Atom ``(rho, theta, h)`` adds ``h D_s / D`` and ``h (D_ss / D - (D_s /
+        D)**2)`` (NaN on the atom), with ``D_s = 4 t rho sigma gamma``, ``D_ss =
+        2 t rho (1 - 2 sigma**2)`` and ``gamma = cos(phi/2)``: no cancellation.
         """
-        x, y, dx, dy, re, im, h = self._offsets(t, s)
-        d = dx * dx + dy * dy
+        t, half, sigma, _, d = self._at(t, s)
+        rho, _, h = self._columns(d.ndim - 1)
+        tr = 2.0 * rho * t
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = 2.0 * (dy * re - dx * im) / d
+            q = 2.0 * tr * sigma * np.cos(half) / d
             dp = _atom_sum(q * h)
-            d2p = _atom_sum((2.0 * (x * re + y * im) / d - q * q) * h)
-            return self._log_sum(d, h), dp, d2p
+            d2p = _atom_sum((tr * (1.0 - 2.0 * sigma**2) / d - q * q) * h)
+            return self._log_sum(d), dp, d2p
 
 
 @lru_cache(maxsize=2)

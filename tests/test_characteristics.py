@@ -467,8 +467,9 @@ def test_jet_matches_profile_and_its_finite_differences():
 
 
 def test_grid_profile_matches_the_kernel_on_the_grid():
-    # D = (t - rho)**2 + t G sums the same atoms in the same order as the
-    # Cartesian kernel, so the two agree to rounding.
+    # The grid passes form D = t G + (t - rho)**2 from the cached grid G,
+    # which is built by the same expression as G at given angles, so a grid
+    # value and the kernel's value at a grid angle have the same bits.
     rng = np.random.default_rng(90)
     for _ in range(10):
         sampler = CircleSampler(DeltaSubharmonicFn(plus=_random_potential(rng), minus=_random_potential(rng)))
@@ -476,7 +477,7 @@ def test_grid_profile_matches_the_kernel_on_the_grid():
         ref = sampler.profile(ts[:, None], _S_GRID[None, :])
         got = sampler.grid_profile(ts)
         assert got.shape == ref.shape == (15, _CIRCLE_GRID)
-        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+        assert np.array_equal(got, ref)
 
 
 def test_radial_slope_matches_finite_differences():
