@@ -555,7 +555,9 @@ def max_crossings(v: FunctionLike, lo: float, hi: float, transform: str = "plus"
             pairs = np.arange(ts.size - 1)
         else:
             new = np.nonzero(pid >= first_new)[0]
-            pairs = np.unique(np.clip(np.concatenate([new - 1, new]), 0, ts.size - 2))
+            # Sorted, without repeats; np.unique would import numpy.ma.
+            pairs = np.sort(np.clip(np.concatenate([new - 1, new]), 0, ts.size - 2))
+            pairs = pairs[np.diff(pairs, prepend=-1) > 0]
         idx = pairs[_brackets_kink(ts, sign, angle, pid, table, pairs)]
         if idx.size == 0:
             break

@@ -643,6 +643,22 @@ def test_lemma1_suite_csv_is_the_same_at_one_and_two_jobs(tmp_path):
 MAXIMA_CHECKERS = ("lemma1", "nevanlinna_ratio", "main_theorem_T", "main_theorem_M", "main_lemma", "small_intervals_ratio")
 
 
+def test_maxima_units_leave_numpy_ma_unloaded():
+    # The first np.unique of a process imports numpy.ma (16 ms and part of
+    # each pool worker's memory); nevanlinna_ratio's unit 0 reaches the kink
+    # scan's second round, where max_crossings once called it.
+    code = (
+        "import json, sys\n"
+        "from subpot import SuiteConfig, run_unit\n"
+        "loaded = {}\n"
+        f"for name in {MAXIMA_CHECKERS!r}:\n"
+        "    run_unit(name, 0, SuiteConfig())\n"
+        "    loaded[name] = 'numpy.ma' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert json.loads(_fresh_interpreter(code)) == dict.fromkeys(MAXIMA_CHECKERS, False)
+
+
 @pytest.mark.parametrize("name", MAXIMA_CHECKERS)
 def test_maxima_rows_do_not_depend_on_skipped_cells(name, monkeypatch):
     # The circle maxima search only the cells whose bound reaches the level
