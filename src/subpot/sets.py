@@ -196,26 +196,24 @@ def integrate_weighted(
     g: Weight,
     e: IntervalSet,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    hints: Iterable[float] = (),
     breaks: Iterable[float] = (),
 ) -> tuple[float, float]:
     """Integral of ``h * g`` over ``e``: one :func:`integrate` call per weight piece and interval of ``e``.
 
-    ``hints`` and ``breaks`` reach every call, which keeps those inside its
-    range: singularities, graded toward, and kinks, which are plain panel
-    edges.  The circle-maxima integrals pass only breaks, because they
-    subtract each spike before integrating.
+    ``breaks`` (kinks, plain panel edges) reach every call, which keeps
+    those inside its range; ``h`` must be smooth between them, as the
+    circle-maxima integrals are once they subtract each spike.
 
     ``h`` runs once on the abscissae of every call's first panels together
     (:func:`first_panel_nodes`), and once more per refined panel: each call
     serves a first panel from that table, keyed on its exact abscissae, so
     the result is the same as with ``h`` called panel by panel.
     """
-    hints, breaks = tuple(hints), tuple(breaks)
+    breaks = tuple(breaks)
     parts = [(lo, hi, np.asarray(coeffs)) for (a, b), coeffs in g.pieces for lo, hi in e.intersect(a, b).intervals]
     if not parts:
         return 0.0, 0.0
-    table = np.concatenate([first_panel_nodes(lo, hi, hints, breaks) for lo, hi, _ in parts])
+    table = np.concatenate([first_panel_nodes(lo, hi, breaks=breaks) for lo, hi, _ in parts])
     values = np.asarray(h(table.ravel()), float).reshape(table.shape)
     first = {x.tobytes(): y for x, y in zip(table, values)}
 
@@ -229,7 +227,7 @@ def integrate_weighted(
         def fn(t: np.ndarray) -> np.ndarray:
             return h_served(t) * np.maximum(npoly.polyval(t, carr), 0.0)
 
-        val, er = integrate(fn, lo, hi, spec=quad, hints=hints, breaks=breaks)
+        val, er = integrate(fn, lo, hi, spec=quad, breaks=breaks)
         total += val
         err += er
     return total, err

@@ -62,34 +62,19 @@ def test_integrate_weighted_constant():
     assert val == pytest.approx(0.4, abs=1e-12)
 
 
-def test_integrate_weighted_log_singularity():
-    g = _const_weight(0.0, 1.0)
-    e = IntervalSet.from_pairs([(0.0, 1.0)])
-    h = lambda t: np.maximum(np.log(1.0 / t), 0.0)
-    val, err = integrate_weighted(h, g, e, hints=[0.0])
-    assert val == pytest.approx(1.0, rel=1e-9)
-
-
-def test_integrate_weighted_linear_against_log():
-    g = Weight(pieces=(((0.0, 1.0), (0.0, 1.0)),), p=math.inf)
-    e = IntervalSet.from_pairs([(0.0, 1.0)])
-    val, err = integrate_weighted(lambda t: np.log(1.0 / t), g, e, hints=[0.0])
-    assert val == pytest.approx(0.25, rel=1e-9)
-
-
 def test_integrate_weighted_calls_h_once_plus_once_per_refined_panel():
     # Two weight pieces over three intervals of E make four sub-integrals; a
-    # log spike and a kink inside them need refinement.
+    # square-root cusp on a break and a kink between breaks need refinement.
     g = Weight(pieces=(((0.0, 0.5), (1.0, 2.0)), ((0.5, 1.0), (0.2, 0.0, 3.0))), p=math.inf)
     e = IntervalSet.from_pairs([(0.05, 0.3), (0.4, 0.7), (0.8, 0.95)])
-    hints, breaks = (0.2,), (0.6, 0.85)
+    breaks = (0.2, 0.6, 0.85)
 
     def h(t):
-        return -np.log(np.abs(t - 0.2)) + np.abs(t - 0.63) + np.sin(7.0 * t)
+        return np.sqrt(np.abs(t - 0.2)) + np.abs(t - 0.63) + np.sin(7.0 * t)
 
     spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
     calls = []
-    val, err = integrate_weighted(lambda t: calls.append(t.size) or h(t), g, e, quad=spec, hints=hints, breaks=breaks)
+    val, err = integrate_weighted(lambda t: calls.append(t.size) or h(t), g, e, quad=spec, breaks=breaks)
 
     # The per-panel loop: one integrate call per piece and interval, with h
     # evaluated panel by panel.
@@ -103,10 +88,10 @@ def test_integrate_weighted_calls_h_once_plus_once_per_refined_panel():
                 seen.append(1)
                 return h(t) * np.maximum(np.polynomial.polynomial.polyval(t, coeffs), 0.0)
 
-            v, er = integrate(fn, lo, hi, spec=spec, hints=hints, breaks=breaks)
+            v, er = integrate(fn, lo, hi, spec=spec, breaks=breaks)
             ref_val += v
             ref_err += er
-            panels = len(first_panel_nodes(lo, hi, hints, breaks))
+            panels = len(first_panel_nodes(lo, hi, breaks=breaks))
             first += panels
             refined += len(seen) - panels
     assert (val, err) == (ref_val, ref_err)
