@@ -12,17 +12,22 @@ from subpot import (
     DeltaSubharmonicFn,
     RationalFunctionSpec,
     SubharmonicPotential,
+    SuiteConfig,
     canonicalize,
     characteristic_T,
     circle_mean,
     circle_mean_nonlinear,
     counting_integral,
+    generate_instance,
     ln_abs,
     max_on_circle,
     max_on_circles,
     nevanlinna,
     pjp_identity_check,
+    potential_from_doc,
     radial_count,
+    rng_for,
+    run_check,
 )
 import subpot.characteristics as characteristics
 from subpot.characteristics import _CIRCLE_GRID, _S_GRID, CircleSampler, _extremes, _quad_mean
@@ -288,6 +293,23 @@ def test_plus_mean_takes_kinks_as_plain_edges(monkeypatch):
     graded = []
     integrate(lambda s: graded.append(s) or plus(s), 0.0, 2 * math.pi, MEAN_QUAD, hints=kinks)
     assert len(panels) == 9 and len(graded) == 29
+
+
+@pytest.mark.parametrize("gen_seed,index", [(304000003, 35), (307000000, 65)])
+def test_spike_hints_keep_near_singular_means_honest(gen_seed, index):
+    # An atom 0.23 % (2.9 %) of the radius from the circle makes a
+    # near-singular spike.  Its hint is graded toward; taken as a plain break
+    # instead, the first Gauss-Kronrod panel ending on it is fooled, and these
+    # pjp_identity rows stop holding (lhs 6.6e-7 and 1.3e-7 against err
+    # 3.7e-11 and 3.4e-11).
+    inst = generate_instance("pjp_identity", rng_for(gen_seed, "pjp_identity", index)[0], SuiteConfig(seed=gen_seed))
+    for combo in inst.combos:
+        doc = {**inst.base_doc, **combo}
+        assert run_check("pjp_identity", doc).holds()
+        v = potential_from_doc(doc["v"])
+        for r in (doc["r"], doc["R"]):
+            mean = circle_mean_nonlinear(v, "id", r, NORM_QUAD)
+            assert abs(mean.value - circle_mean(v, r).value) <= mean.error_estimate
 
 
 def test_mean_memo_keys_on_the_quadrature_spec():
