@@ -150,15 +150,14 @@ def _atom_sum(x: np.ndarray) -> np.ndarray:
 class CircleSampler:
     """Profile values of a canonical difference at ``t * e^{is}``, from one polar kernel.
 
-    Each atom is kept as ``(rho, theta, h)``: modulus, angle and half its
-    signed mass (negative on the minus component).  It adds ``h ln D``, with
-    ``D = t G + (t - rho)**2`` and ``G = 4 rho sin^2((s - theta)/2)``;
-    neither term cancels beside the atom.  :meth:`_at` forms every ``G``, at
-    given angles or once on the shared grid, and :meth:`_distance` every
-    ``D``, so a value at a grid angle has the same bits either way; the
-    derivatives come from the same half angle.  Atoms lie on the leading
-    axis, and :func:`_atom_sum` adds them one after another for any number
-    of points, so a point's value has the same bits alone as inside a batch.
+    Atom ``(rho, theta, h)`` (modulus, angle, half the signed mass, negative
+    on the minus component) adds ``h ln D``, ``D = t G + (t - rho)**2`` with
+    ``G = 4 rho sin^2((s - theta)/2)``: no term cancels beside the atom.
+    :meth:`_at` forms every ``G`` and :meth:`_distance` every ``D``, so a
+    grid value has the same bits as the value at its angle; the derivatives
+    share the half angle.  :func:`_atom_sum` adds the atoms (the leading
+    axis) in order for any number of points, so a point's value has the
+    same bits alone as inside a batch.
     """
 
     def __init__(self, u: DeltaSubharmonicFn):
@@ -474,25 +473,19 @@ def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") 
         raise ValueError("radii must be nonnegative")
 
     # The profile's maximum matters unless the transform flips the sign; its
-    # minimum matters when the transform sends negative values upward.
-    signs: list[float] = []
-    up_moduli: list[np.ndarray] = []
-    if transform != "minus":
-        signs.append(1.0)
-        up_moduli.append(sampler.u.minus.charge.moduli)
-    if transform in ("minus", "abs"):
-        signs.append(-1.0)
-        up_moduli.append(sampler.u.plus.charge.moduli)
-    # The transformed supremum is the largest maximum of any sign, clipped
-    # at 0 unless the transform is "id" (for "abs", M >= m makes the larger
-    # of M and -m at least |M| and |m|), so no maximum below it moves it.
-    sign = np.array(signs)
+    # minimum matters when the transform sends negative values upward.  The
+    # transformed supremum is the largest maximum of any sign, clipped at 0
+    # unless the transform is "id" (for "abs", M >= m makes the larger of M
+    # and -m at least |M| and |m|), so no maximum below it moves it.
+    sign = np.array([1.0] * (transform != "minus") + [-1.0] * (transform in ("minus", "abs")))
     if ts.size >= _PRUNE_RADII:
         best = _pruned_maxima(sampler, ts, sign, -np.inf if transform == "id" else 0.0)
     else:
         best = _extremes(sampler, ts, sign)[0]
     sup = wrap(sign[:, None] * best).max(axis=0)
-    return np.where(np.isin(ts, np.concatenate(up_moduli)), np.inf, sup)
+    # sign * profile diverges upward on the atoms with sign * h < 0.
+    rho, _, h = sampler._atoms
+    return np.where(np.isin(ts, rho[(sign[:, None] * h < 0.0).any(axis=0)]), np.inf, sup)
 
 
 def upward_spikes(u: DeltaSubharmonicFn, transform: str) -> dict[float, tuple[float, float, float]]:
@@ -691,16 +684,10 @@ def _one_signed_mean(u: DeltaSubharmonicFn, r: float, sign: float, wrap: Callabl
     return (sign * mean if wrap(sign) > 0.0 else 0.0), 50.0 * np.finfo(float).eps * size
 
 
-def _spike_angles(u: DeltaSubharmonicFn, r: float) -> list[float]:
-    angles: list[float] = []
-    for charge in (u.plus.charge, u.minus.charge):
-        for c, _ in charge.atoms:
-            scale = max(r, abs(c))
-            if scale == 0.0:
-                continue
-            if abs(abs(c) - r) <= _SPIKE_REL * scale:
-                angles.append(math.atan2(c.imag, c.real) % _TWO_PI)
-    return angles
+def _spike_angles(sampler: CircleSampler, r: float) -> list[float]:
+    """Angles in ``[0, 2 pi)`` of the atoms within ``_SPIKE_REL`` of the circle of radius ``r > 0``, as the kernel keeps them."""
+    rho, theta, _ = sampler._atoms
+    return (theta[np.abs(rho - r) <= _SPIKE_REL * np.maximum(rho, r)] % _TWO_PI).tolist()
 
 
 def _kink_angles(sampler: CircleSampler, r: float) -> list[float]:
@@ -749,7 +736,7 @@ def _quad_mean(
         if below.any():
             return _one_signed_mean(sampler.u, r, -1.0 if below[0] else 1.0, wrap)
         kinks = _kink_angles(sampler, r)
-    hints = _spike_angles(sampler.u, r)
+    hints = _spike_angles(sampler, r)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         return wrap(sampler.profile(r, s))

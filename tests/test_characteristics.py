@@ -131,7 +131,7 @@ def test_circle_mean_routes_agree_on_random_potentials():
     hinted = []
     for _ in range(15):
         u = _random_potential(rng, avoid=(1.7,))
-        hinted.append(bool(characteristics._spike_angles(characteristics.as_delta(u), 1.7)))
+        hinted.append(bool(characteristics._spike_angles(characteristics._sampler(u), 1.7)))
         a = circle_mean(u, 1.7)
         b = circle_mean_nonlinear(u, "id", 1.7)
         assert abs(b.value - a.value) <= b.error_estimate + 1e-14 * (1.0 + abs(a.value))
@@ -142,7 +142,7 @@ def _smooth_random_potential(rng, r):
     """A random potential with no atom within 5 % of the circle of radius ``r``."""
     while True:
         u = _random_potential(rng, avoid=(r,))
-        if not characteristics._spike_angles(characteristics.as_delta(u), r):
+        if not characteristics._spike_angles(characteristics._sampler(u), r):
             return u
 
 
