@@ -78,15 +78,14 @@ _PRUNE_RADII = 12
 # the terms' sizes (u = 2**-53), and each log by u; 1e-10 of that size
 # covers both for any atom count up to 10**5.
 _SUM_SLACK = 1e-10
-# Beside an atom only the rounding of the angle s - theta grows: |s - theta|
-# < 16 for every angle read (within a grid step of [0, 2 pi)), so it is off
-# by at most 8 u, and |dD/ds| = 4 t rho |sigma gamma| <= (t + rho) sqrt(D).
-# With at most 8 u D from the other roundings and sqrt(D) <= t + rho, a term
-# h ln D is off by at most 16 u |h| (t + rho) / sqrt(D), and sqrt(D) >= |t -
-# rho| on the circle; a bound and a value it covers are each off that much,
-# so each atom adds 32 u |h| (t + rho) / |t - rho|.  That linear model holds
-# while |t - rho| is far above u (t + rho); a circle closer than 1e-9 (t +
-# rho) to an atom is searched whole.
+# Beside an atom only the rounding of the angle s - theta grows: it is off
+# by at most 8 u (|s - theta| < 16 within a grid step of [0, 2 pi)), and
+# |dD/ds| = 4 t rho |sigma gamma| <= (t + rho) sqrt(D).  With the other
+# roundings at most 8 u D and sqrt(D) <= t + rho, a term h ln D is off by at
+# most 16 u |h| (t + rho) / sqrt(D) <= 16 u |h| (t + rho) / |t - rho|, for a
+# bound and for a value it covers alike: each atom adds twice that.  The
+# linear model holds while |t - rho| is far above u (t + rho); a circle
+# closer than 1e-9 (t + rho) to an atom is searched whole.
 _NEAR_SLACK = 32.0 * np.finfo(float).eps / 2.0
 _NEAR_LIMIT = 1e9
 
@@ -166,10 +165,13 @@ class CircleSampler:
         half_masses = 0.5 * np.concatenate([u.plus.charge.masses, -u.minus.charge.masses])
         self._atoms = np.array([np.abs(centers), np.angle(centers), half_masses])
         self._c0 = u.plus.const - u.minus.const
+        self._shaped: dict[int, tuple[np.ndarray, ...]] = {}
 
-    def _columns(self, ndim: int) -> np.ndarray:
-        """The atom rows ``rho, theta, h``, each shaped to broadcast against points with ``ndim`` axes."""
-        return self._atoms.reshape((3, -1) + (1,) * ndim)
+    def _columns(self, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The atom rows ``rho, theta, h``, each shaped to broadcast against points with ``ndim`` axes (kept per ``ndim``)."""
+        if ndim not in self._shaped:
+            self._shaped[ndim] = tuple(self._atoms.reshape((3, -1) + (1,) * ndim))
+        return self._shaped[ndim]
 
     def _distance(self, t: np.ndarray, g: np.ndarray) -> np.ndarray:
         """``D = t G + (t - rho)**2`` per atom, for ``G`` with the atom axis first and radii ``t`` that broadcast against its other axes."""
@@ -285,16 +287,16 @@ class CircleSampler:
         """Profile value and its first two angular derivatives at ``t * e^{is}``.
 
         Atom ``(rho, theta, h)`` adds ``h D_s / D`` and ``h (D_ss / D - (D_s /
-        D)**2)`` (NaN on the atom), with ``D_s = 4 t rho sigma gamma``, ``D_ss =
-        2 t rho (1 - 2 sigma**2)`` and ``gamma = cos(phi/2)``: no cancellation.
+        D)**2)`` (NaN on the atom), with ``D_s = k sigma gamma``, ``D_ss = k (1/2
+        - sigma**2)``, ``k = 4 t rho`` and ``gamma = cos(phi/2)``: no cancellation.
         """
         t, half, sigma, _, d = self._at(t, s)
         rho, _, h = self._columns(d.ndim - 1)
-        tr = 2.0 * rho * t
+        k = 4.0 * rho * t
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = 2.0 * tr * sigma * np.cos(half) / d
+            q = k * sigma * np.cos(half) / d
             dp = _atom_sum(q * h)
-            d2p = _atom_sum((tr * (1.0 - 2.0 * sigma**2) / d - q * q) * h)
+            d2p = _atom_sum((k * (0.5 - sigma**2) / d - q * q) * h)
             return self._log_sum(d), dp, d2p
 
 

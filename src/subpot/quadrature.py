@@ -37,10 +37,9 @@ Off the origin the geometric grading keeps every node apart from ``h``
 down to the resolution limit below.
 Nor does a hint off the origin become a plain break: the first panel
 ending on a near-singular spike misjudges its error (QUADPACK, Piessens et
-al. 1983).  With breaks for the spike hints, the circle means of two
-``pjp_identity`` units (suite seeds 304000003 and 307000000, instances 35
-and 65) failed their rows: lhs 6.6e-7 and 1.3e-7 against err 3.7e-11 and
-3.4e-11.
+al. 1983).  With breaks, two ``pjp_identity`` rows (suite seeds 304000003
+and 307000000, instances 35 and 65) fail: lhs 6.6e-7 and 1.3e-7 against
+err 3.7e-11 and 3.4e-11.
 
 Mapped and plain panels share one heap, one panel budget and one
 tolerance test.  A plain panel is split only when the outer Kronrod nodes
