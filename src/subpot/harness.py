@@ -287,12 +287,8 @@ def _draw_measure(
 
 
 def _clear_of(measures: Sequence[AtomicMeasure], radii: Sequence[float]) -> bool:
-    for mu in measures:
-        for rho in mu.moduli:
-            for t in radii:
-                if abs(rho - t) <= _RADIUS_CLEARANCE * t:
-                    return False
-    return True
+    t = np.asarray(radii, float)
+    return not any(np.any(np.abs(mu.moduli[:, None] - t) <= _RADIUS_CLEARANCE * t) for mu in measures)
 
 
 def _draw_weight_pieces(
