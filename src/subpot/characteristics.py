@@ -22,7 +22,8 @@ angle and a panel edge at each sign change of the profile.  The kinks of
 the circle maxima (zero crossings and switches of the winning peak) come
 from a radial scan.  Peaks, sign changes and kinks are all refined by the
 same Newton routine (in :mod:`subpot.search`).  One table holds the
-transforms.
+transforms and the signs of the profile each one reads; every atom
+modulus and angle is the kernel's own.
 
 Three pure functions repeat inside one checker unit, so each has a memo
 keyed on every argument and bounded by one unit's need: ``_sampler(v)``
@@ -101,14 +102,16 @@ _SAME_PEAK = 0.125 * _TWO_PI / _CIRCLE_GRID
 # Atoms this close to the circle (relative) get an angular hint.
 _SPIKE_REL = 0.05
 
-# Pointwise maps applied to profile values.  Each is monotone on either
-# side of some point, so its circle supremum sits at the circle maximum or
-# the circle minimum of the profile.
-TRANSFORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "id": lambda x: x,
-    "plus": lambda x: np.maximum(x, 0.0),
-    "minus": lambda x: np.maximum(-x, 0.0),
-    "abs": np.abs,
+# Pointwise maps applied to profile values, each with the signs of the
+# profile it reads.  Each map is monotone on either side of some point, so
+# its circle supremum is the largest circle maximum of ``sign * profile``
+# over its signs: the profile's maximum (sign 1) unless the map flips the
+# sign, its minimum (sign -1) where the map sends negative values upward.
+TRANSFORMS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]] = {
+    "id": (lambda x: x, (1.0,)),
+    "plus": (lambda x: np.maximum(x, 0.0), (1.0,)),
+    "minus": (lambda x: np.maximum(-x, 0.0), (-1.0,)),
+    "abs": (np.abs, (1.0, -1.0)),
 }
 
 
@@ -120,7 +123,7 @@ class CharacteristicValue:
     error_estimate: float = 0.0
 
 
-def _transform_fn(transform: str) -> Callable[[np.ndarray], np.ndarray]:
+def _transform(transform: str) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]:
     try:
         return TRANSFORMS[transform]
     except KeyError:
@@ -459,51 +462,47 @@ def _branch_values(
 def max_on_circles(v: FunctionLike, ts: Sequence[float], transform: str = "id") -> np.ndarray:
     """Circle suprema of ``transform(v)`` at each radius in ``ts``.
 
-    Returns +inf exactly where an atom whose transformed spike diverges
-    upward lies on the circle (minus-component atoms for "id"/"plus",
-    plus-component atoms for "minus", both for "abs").  A call with
-    ``_PRUNE_RADII`` radii or more searches only the coarse cells whose
+    Returns +inf exactly at the moduli of :func:`upward_spikes`.  A call
+    with ``_PRUNE_RADII`` radii or more searches only the coarse cells whose
     bound reaches the level the supremum is read at
     (:func:`_pruned_maxima`); a smaller one searches the whole grid
     (:func:`_extremes`), where the bound costs more than it saves.  Both
     give the same floats.
     """
-    wrap = _transform_fn(transform)
+    wrap, signs = _transform(transform)
     sampler = _sampler(v)
     ts = np.asarray(ts, float)
     if np.any(ts < 0):
         raise ValueError("radii must be nonnegative")
 
-    # The profile's maximum matters unless the transform flips the sign; its
-    # minimum matters when the transform sends negative values upward.  The
-    # transformed supremum is the largest maximum of any sign, clipped at 0
-    # unless the transform is "id" (for "abs", M >= m makes the larger of M
-    # and -m at least |M| and |m|), so no maximum below it moves it.
-    sign = np.array([1.0] * (transform != "minus") + [-1.0] * (transform in ("minus", "abs")))
+    # The supremum is clipped at 0 unless the transform is "id" (for "abs",
+    # M >= m makes the larger of M and -m at least |M| and |m|), so no
+    # maximum below 0 moves it.
+    sign = np.array(signs)
     if ts.size >= _PRUNE_RADII:
         best = _pruned_maxima(sampler, ts, sign, -np.inf if transform == "id" else 0.0)
     else:
         best = _extremes(sampler, ts, sign)[0]
     sup = wrap(sign[:, None] * best).max(axis=0)
-    # sign * profile diverges upward on the atoms with sign * h < 0.
-    rho, _, h = sampler._atoms
-    return np.where(np.isin(ts, rho[(sign[:, None] * h < 0.0).any(axis=0)]), np.inf, sup)
+    return np.where(np.isin(ts, list(upward_spikes(v, transform))), np.inf, sup)
 
 
-def upward_spikes(u: DeltaSubharmonicFn, transform: str) -> dict[float, tuple[float, float, float]]:
-    """Per modulus of the canonical ``u``'s atoms whose spike ``transform`` (``plus`` or ``abs``) sends upward, the heaviest one.
+def upward_spikes(v: FunctionLike, transform: str) -> dict[float, tuple[float, float, float]]:
+    """Per modulus of the atoms whose spike ``transform`` sends upward, the heaviest one, as the kernel keeps it.
 
-    Each entry is ``(mass, sign, angle)``: sign 1 for a minus atom (a peak
-    of the profile), -1 for a plus atom under ``abs``; the angle is NaN for
-    an atom at the origin, whose spike fills the circle.
+    Atom ``(rho, theta, h)`` of :class:`CircleSampler` diverges upward in
+    ``sign * profile`` for ``sign = -sign(h)``: 1 for a minus atom (a peak
+    of the profile), -1 for a plus atom; its spike points upward when that
+    sign is one of the transform's.  Each entry is ``(mass, sign, angle)``,
+    the angle being ``theta`` in ``[0, 2 pi)``, or NaN for an atom at the
+    origin, whose spike fills the circle.
     """
-    up = [(1.0, u.minus.charge)] + ([(-1.0, u.plus.charge)] if transform == "abs" else [])
+    signs = _transform(transform)[1]
     spikes: dict[float, tuple[float, float, float]] = {}
-    for sign, charge in up:
-        for c, m in charge.atoms:
-            rho = abs(c)
-            if m > spikes.get(rho, (0.0,))[0]:
-                spikes[rho] = (m, sign, math.atan2(c.imag, c.real) % _TWO_PI if rho > 0.0 else math.nan)
+    for rho, theta, h in _sampler(v)._atoms.T.tolist():
+        sign, m = (-1.0, 2.0 * h) if h > 0.0 else (1.0, -2.0 * h)
+        if sign in signs and m > spikes.get(rho, (0.0,))[0]:
+            spikes[rho] = (m, sign, theta % _TWO_PI if rho > 0.0 else math.nan)
     return spikes
 
 
@@ -528,8 +527,8 @@ def max_crossings(v: FunctionLike, lo: float, hi: float, transform: str = "plus"
     kink and its undoing between two neighbouring scan radii go unseen.
     """
     sampler = _sampler(v)
-    signs = np.array([1.0] if transform == "plus" else [1.0, -1.0])
-    spikes = {rho: spike for rho, spike in upward_spikes(sampler.u, transform).items() if lo <= rho <= hi}
+    signs = np.array(_transform(transform)[1])
+    spikes = {rho: spike for rho, spike in upward_spikes(v, transform).items() if lo <= rho <= hi}
 
     # Points of the scan, each with its winner; ``pid`` keys its peaks
     # (-1 at a modulus, which has none).
@@ -658,7 +657,7 @@ def max_on_circle(v: FunctionLike, r: float, transform: str = "id") -> Character
     if r < 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and nonnegative")
     if r == 0.0:
-        return CharacteristicValue(float(_transform_fn(transform)(circle_mean(v, 0.0).value)))
+        return CharacteristicValue(float(_transform(transform)[0](circle_mean(v, 0.0).value)))
     return CharacteristicValue(float(max_on_circles(v, np.array([r]), transform)[0]))
 
 
@@ -727,7 +726,7 @@ def _quad_mean(
     refines toward them.  The choice and both rules depend only on the
     arguments, so the result is a pure function of them.
     """
-    wrap = _transform_fn(transform)
+    wrap = _transform(transform)[0]
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
     sampler = _sampler(v)
@@ -790,8 +789,7 @@ def counting_integral(mu: AtomicMeasure, r: float, R: float) -> float:
     if r == R:
         return 0.0
     total = 0.0
-    for c, m in mu.atoms:
-        rho = abs(c)
+    for rho, m in zip(mu.moduli.tolist(), mu.masses.tolist()):
         if rho > R:
             continue
         denom = max(r, rho)
@@ -844,12 +842,11 @@ def nevanlinna(
     if r <= 0 or not math.isfinite(r):
         raise ValueError("radius must be finite and positive")
     prox_val, prox_err = _quad_mean(ln_abs(f), r, "plus", quad)
-    n0 = f.poles.mass_at(0j)
-    n_val = n0 * math.log(r)
-    for c, m in f.poles.atoms:
-        rho = abs(c)
-        if 0.0 < rho <= r:
-            n_val += m * math.log(r / rho)
+    # N(r) = n(0) ln r + sum over the poles 0 < |a| <= r of m ln(r/|a|).
+    n_val = 0.0
+    for rho, m in zip(f.poles.moduli.tolist(), f.poles.masses.tolist()):
+        if rho <= r:
+            n_val += m * math.log(r / rho if rho > 0.0 else r)
     prox = CharacteristicValue(prox_val, prox_err)
     count = CharacteristicValue(n_val)
     total = CharacteristicValue(prox_val + n_val, prox_err)

@@ -72,12 +72,6 @@ class AtomicMeasure:
     def moduli(self) -> np.ndarray:
         return np.abs(self.centers) if self.atoms else np.zeros(0)
 
-    def mass_at(self, center: complex) -> float:
-        for c, m in self.atoms:
-            if c == center:
-                return m
-        return 0.0
-
 
 @dataclass(frozen=True)
 class SubharmonicPotential:

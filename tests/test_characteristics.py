@@ -223,7 +223,7 @@ def test_one_signed_means_are_closed_forms(transform, monkeypatch):
     for name in ("integrate", "integrate_periodic"):
         rule = getattr(characteristics, name)
         monkeypatch.setattr(characteristics, name, lambda *a, rule=rule, name=name, **k: used.append(name) or rule(*a, **k))
-    wrap = characteristics.TRANSFORMS[transform]
+    wrap, _ = characteristics.TRANSFORMS[transform]
     for U, sign in ((_delta(plus, minus, plus_const=0.2), 1.0), (_delta(minus, plus, minus_const=0.2), -1.0)):
         sampler = characteristics._sampler(U)
         assert np.all(sign * sampler.grid_profile(np.array([3.0]))[0] > 0)
@@ -767,6 +767,49 @@ def test_many_radii_take_the_grid_pass_in_chunks():
     assert peak < 4e6
     ref = np.concatenate([max_on_circles(U, ts[i : i + 15], "abs") for i in range(0, ts.size, 15)])
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("transform", ["plus", "abs", "id", "minus"])
+def test_upward_spikes_sit_on_the_kernels_singular_radii(transform):
+    # The spikes are read from the kernel's own atoms, so the circle maxima
+    # are +inf at every one of their moduli (Python's abs(c) differs from
+    # numpy's modulus in the last bit for about a third of the centres), and
+    # each angle is the kernel's theta in [0, 2 pi), or NaN at the origin.
+    rng = np.random.default_rng(30)
+    radii = 0
+    for _ in range(40):
+        plus, minus = (
+            [(complex(*rng.normal(size=2)), float(rng.uniform(0.1, 2.0))) for _ in range(int(rng.integers(1, 9)))]
+            for _ in range(2)
+        )
+        (plus if rng.random() < 0.5 else minus).append((0j, float(rng.uniform(0.1, 2.0))))
+        U = _delta(plus, minus)
+        spikes = characteristics.upward_spikes(U, transform)
+        assert np.all(max_on_circles(U, list(spikes), transform) == np.inf)
+        rho, theta, h = characteristics._sampler(U)._atoms
+        up = np.isin(-np.sign(h), characteristics.TRANSFORMS[transform][1])
+        assert sorted(spikes) == sorted(set(rho[up].tolist()))
+        for r, (m, sign, angle) in spikes.items():
+            own = up & (rho == r) & (-np.sign(h) == sign)
+            assert m == 2.0 * np.abs(h[up & (rho == r)]).max() == 2.0 * np.abs(h[own]).max()
+            if r == 0.0:
+                assert math.isnan(angle)
+            else:
+                assert angle in (theta[own] % (2 * math.pi)).tolist()
+        radii += len(spikes)
+    assert radii > 150
+
+
+def test_nevanlinna_counts_poles_at_and_off_the_origin():
+    # N(r) = n(0) ln r + sum over the poles 0 < |a| <= r of m ln(r/|a|).
+    off = [(0.3 + 0.4j, 1.0), (-1.2, 3.0), (2.0 + 2.0j, 1.0)]
+    f = RationalFunctionSpec(
+        zeros=AtomicMeasure.from_pairs([(0.5 - 1.0j, 1.0)]),
+        poles=AtomicMeasure.from_pairs([(0.0, 2.0), *off]),
+    )
+    for r in (0.3, 0.7, 1.5, 3.0):
+        expected = 2.0 * math.log(r) + sum(m * math.log(r / abs(a)) for a, m in off if abs(a) <= r)
+        assert nevanlinna(f, r).N.value == pytest.approx(expected, rel=1e-14, abs=1e-15)
 
 
 def test_nevanlinna_reciprocal_outside_unit_disc():

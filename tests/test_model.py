@@ -226,7 +226,5 @@ def test_rational_doc_round_trip():
 def test_measure_helpers():
     m = AtomicMeasure.from_pairs([(3.0, 1.0), (complex(0, -4), 2.0)])
     assert m.total_mass == pytest.approx(3.0)
-    assert m.mass_at(3.0) == pytest.approx(1.0)
-    assert m.mass_at(5.0) == 0.0
     assert sorted(m.moduli) == pytest.approx([3.0, 4.0])
     assert AtomicMeasure.empty().is_empty
