@@ -373,10 +373,10 @@ def _maxima_integral(
     """Integral over E of the circle maxima of ``transform(canon)`` times the weight pieces.
 
     On each interval of ``E`` within a weight piece that holds the modulus
-    ``rho`` of an atom whose spike the transform sends upward
-    (:func:`upward_spikes`, the kernel's own moduli, where the maxima are
-    +inf), the maxima grow like ``-m ln|t - rho|`` at ``rho``, with ``m``
-    the heaviest such mass there.  The kinks found by :func:`max_crossings` and the moduli
+    ``rho`` of an atom whose spike the transform sends upward (a modulus
+    of :func:`upward_spikes`, where the maxima are +inf), the maxima grow
+    like ``-m ln|t - rho|`` at ``rho``, with ``m`` the heaviest such mass
+    there.  The kinks found by :func:`max_crossings` and the moduli
     become plain panel edges (``breaks``).  Between the two edges next to
     ``rho`` the spike wins, so there the integrand gets ``m ln|t - rho| g(t)``,
     which leaves it smooth, and the same term comes back in closed form
