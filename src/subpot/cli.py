@@ -12,6 +12,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -49,6 +50,8 @@ EXIT_VIOLATION = 1
 EXIT_FLAKY = 2
 EXIT_BAD_INPUT = 3
 
+_CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(SuiteConfig))
+
 
 class CliError(Exception):
     pass
@@ -61,12 +64,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _float_or_inf(text: str) -> float:
-    return math.inf if text.strip() in ("inf", "Inf", "INF") else float(text)
+def _comma_names(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _comma_floats(text: str) -> list[float]:
-    return [_float_or_inf(part) for part in text.split(",") if part.strip()]
+    # float() reads "inf" in any case.
+    return [float(part) for part in _comma_names(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,13 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--config", default=None, help="JSON suite configuration file")
     p_suite.add_argument("--seed", type=int, default=None)
     p_suite.add_argument("--instances", type=int, default=None)
-    p_suite.add_argument("--checkers", default=None, help="comma separated checker names")
-    p_suite.add_argument("--k-values", default=None, help="comma separated multipliers > 1")
-    p_suite.add_argument("--p-values", default=None, help="comma separated exponents > 1 (inf allowed)")
-    p_suite.add_argument("--b-values", default=None, help="comma separated widenings > 0")
+    p_suite.add_argument("--checkers", type=_comma_names, default=None, help="comma separated checker names")
+    p_suite.add_argument("--k-values", type=_comma_floats, default=None, help="comma separated multipliers > 1")
+    p_suite.add_argument("--p-values", type=_comma_floats, default=None, help="comma separated exponents > 1 (inf allowed)")
+    p_suite.add_argument("--b-values", type=_comma_floats, default=None, help="comma separated widenings > 0")
     p_suite.add_argument("--out", default=None, help="CSV output path (stdout when omitted)")
     p_suite.add_argument("--jobs", type=int, default=None, help="worker processes")
-    p_suite.add_argument("--tol", type=float, default=None, help="relative quadrature tolerance override")
+    p_suite.add_argument("--tol", type=float, dest="quad_rel_tol", help="relative quadrature tolerance override")
 
     sub.add_parser("counterexample", help="print the divergence demonstration")
     return parser
@@ -192,25 +196,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     doc = _load_json(args.config) if args.config else {}
     if not isinstance(doc, dict):
         raise CliError("suite config must be a JSON object")
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.instances is not None:
-        doc["instances"] = args.instances
-    if args.checkers is not None:
-        doc["checkers"] = [part.strip() for part in args.checkers.split(",") if part.strip()]
-    if args.k_values is not None:
-        doc["k_values"] = _comma_floats(args.k_values)
-    if args.p_values is not None:
-        doc["p_values"] = ["inf" if math.isinf(p) else p for p in _comma_floats(args.p_values)]
-    if args.b_values is not None:
-        doc["b_values"] = _comma_floats(args.b_values)
-    if args.jobs is not None:
-        doc["jobs"] = args.jobs
-    if args.tol is not None:
-        doc["quad_rel_tol"] = args.tol
-
+    # Each flag given sets the config field of its own name.
+    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_FIELDS and value is not None}
     try:
-        cfg = SuiteConfig.from_doc(doc)
+        cfg = SuiteConfig.from_doc({**doc, **flags})
     except (ValueError, TypeError) as exc:
         raise CliError(f"bad suite configuration: {exc}") from exc
 

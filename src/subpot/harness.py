@@ -59,10 +59,27 @@ CSV_COLUMNS = ("name", "seed", "lhs", "rhs", "ratio", "holds", "err", "params")
 # checker integrates over or means on.
 _RADIUS_CLEARANCE = 1e-3
 _MAX_DRAWS = 1000
+# How many atoms a drawn measure holds; a delta-subharmonic function's minus
+# charge holds at most half as many.
+_ATOMS = (1, 8)
 
 
 class GenerationError(RuntimeError):
     """Raised when no admissible instance is found within the draw budget."""
+
+
+# Each SuiteConfig field with the parser of its JSON value.  A ``p`` of
+# "inf" or null is infinite; null keeps the default only for quad_rel_tol.
+_CONFIG_PARSERS: dict[str, Callable] = {
+    "seed": int,
+    "instances": int,
+    "checkers": tuple,
+    "k_values": lambda ks: tuple(map(float, ks)),
+    "p_values": lambda ps: tuple(math.inf if p is None else float(p) for p in ps),
+    "b_values": lambda bs: tuple(map(float, bs)),
+    "quad_rel_tol": lambda tol: None if tol is None else float(tol),
+    "jobs": int,
+}
 
 
 @dataclass(frozen=True)
@@ -74,8 +91,6 @@ class SuiteConfig:
     k_values: tuple[float, ...] = (1.5, 2.0, 4.0)
     p_values: tuple[float, ...] = (2.0, 4.0, math.inf)
     b_values: tuple[float, ...] = (0.5, 1.0)
-    atom_count_range: tuple[int, int] = (1, 8)
-    radius_range: tuple[float, float] = (0.1, 5.0)
     quad_rel_tol: Optional[float] = None
     jobs: int = 1
 
@@ -85,11 +100,6 @@ class SuiteConfig:
                 raise ValueError(f"unknown checker {name!r}")
         if self.instances < 0:
             raise ValueError("instances must be nonnegative")
-        lo, hi = self.atom_count_range
-        if not (0 <= lo <= hi):
-            raise ValueError("bad atom count range")
-        if not (0 < self.radius_range[0] < self.radius_range[1]):
-            raise ValueError("bad radius range")
         if any(not k > 1 for k in self.k_values):
             raise ValueError("k values must exceed 1")
         if any(not p > 1 for p in self.p_values):
@@ -101,30 +111,11 @@ class SuiteConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SuiteConfig":
-        kwargs = {}
-        if "seed" in doc:
-            kwargs["seed"] = int(doc["seed"])
-        if "instances" in doc:
-            kwargs["instances"] = int(doc["instances"])
-        if "checkers" in doc:
-            kwargs["checkers"] = tuple(doc["checkers"])
-        if "k_values" in doc:
-            kwargs["k_values"] = tuple(float(k) for k in doc["k_values"])
-        if "p_values" in doc:
-            kwargs["p_values"] = tuple(
-                math.inf if p in ("inf", None) else float(p) for p in doc["p_values"]
-            )
-        if "b_values" in doc:
-            kwargs["b_values"] = tuple(float(b) for b in doc["b_values"])
-        if "atom_count_range" in doc:
-            kwargs["atom_count_range"] = tuple(int(n) for n in doc["atom_count_range"])
-        if "radius_range" in doc:
-            kwargs["radius_range"] = tuple(float(x) for x in doc["radius_range"])
-        if doc.get("quad_rel_tol") is not None:
-            kwargs["quad_rel_tol"] = float(doc["quad_rel_tol"])
-        if "jobs" in doc:
-            kwargs["jobs"] = int(doc["jobs"])
-        return cls(**kwargs)
+        """The configuration a JSON document sets; a key that is no field raises."""
+        unknown = sorted(set(doc) - _CONFIG_PARSERS.keys())
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        return cls(**{key: _CONFIG_PARSERS[key](value) for key, value in doc.items()})
 
     def quad_override(self) -> Optional[QuadratureSpec]:
         return None if self.quad_rel_tol is None else QuadratureSpec(rel_tol=self.quad_rel_tol)
@@ -250,15 +241,6 @@ def _loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
-def _radius_span(cfg: SuiteConfig, lo_floor: float, hi_cap: Optional[float] = None) -> tuple[float, float]:
-    """Clamp a generator's preferred scale range into the configured one."""
-    lo = max(lo_floor, cfg.radius_range[0])
-    hi = cfg.radius_range[1] if hi_cap is None else min(hi_cap, cfg.radius_range[1])
-    if hi <= lo:
-        hi = 2.0 * lo
-    return lo, hi
-
-
 def _draw_measure(
     rng: np.random.Generator,
     count_range: tuple[int, int],
@@ -267,7 +249,7 @@ def _draw_measure(
     integer_masses: bool = False,
 ) -> AtomicMeasure:
     lo, hi = count_range
-    n = int(rng.integers(lo, hi + 1)) if hi >= lo else 0
+    n = int(rng.integers(lo, hi + 1))
     pairs = []
     for _ in range(n):
         if origin_prob > 0.0 and rng.random() < origin_prob:
@@ -323,15 +305,9 @@ def _draw_set_doc(
     return e.to_doc()
 
 
-def _draw_delta(
-    rng: np.random.Generator,
-    cfg: SuiteConfig,
-    rmax: float,
-    min_plus: int = 1,
-) -> DeltaSubharmonicFn:
-    lo, hi = cfg.atom_count_range
-    plus = _draw_measure(rng, (max(lo, min_plus), max(hi, min_plus)), rmax, origin_prob=0.1)
-    minus = _draw_measure(rng, (0, max(hi // 2, 1)), rmax, origin_prob=0.1)
+def _draw_delta(rng: np.random.Generator, rmax: float) -> DeltaSubharmonicFn:
+    plus = _draw_measure(rng, _ATOMS, rmax, origin_prob=0.1)
+    minus = _draw_measure(rng, (0, _ATOMS[1] // 2), rmax, origin_prob=0.1)
     return DeltaSubharmonicFn(
         plus=SubharmonicPotential(plus, float(rng.uniform(-1.0, 1.0))),
         minus=SubharmonicPotential(minus, float(rng.uniform(-1.0, 1.0))),
@@ -339,9 +315,9 @@ def _draw_delta(
 
 
 def _gen_lemma2(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
-    R = _loguniform(rng, *_radius_span(cfg, 0.5))
+    R = _loguniform(rng, 0.5, 5.0)
     r = R * float(rng.uniform(0.05, 0.95))
-    mu = _draw_measure(rng, cfg.atom_count_range, 1.2 * R, origin_prob=0.15)
+    mu = _draw_measure(rng, _ATOMS, 1.2 * R, origin_prob=0.15)
     return {"measure": atoms_to_doc(mu), "r": r, "R": R}
 
 
@@ -356,7 +332,7 @@ def _gen_lemma3(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
 
 
 def _gen_lemma4(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
-    R = _loguniform(rng, *_radius_span(cfg, 0.3))
+    R = _loguniform(rng, 0.3, 5.0)
     r = R * float(rng.uniform(0.3, 1.0))
     q = float(rng.uniform(1.0, 4.0))
     x = float(rng.uniform(0.0, R))
@@ -377,9 +353,9 @@ def _gen_lemma_a(rng: np.random.Generator, cfg: SuiteConfig) -> dict:
 
 
 def _gen_lemma1(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
-    R = _loguniform(rng, *_radius_span(cfg, 0.5))
+    R = _loguniform(rng, 0.5, 5.0)
     r = R * float(rng.uniform(0.2, 0.8))
-    u = _draw_delta(rng, cfg, 1.3 * R)
+    u = _draw_delta(rng, 1.3 * R)
     if not _clear_of([u.plus.charge, u.minus.charge], [r, R]):
         return None
     return {
@@ -392,11 +368,11 @@ def _gen_lemma1(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
 
 
 def _gen_main_lemma(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
-    r = _loguniform(rng, *_radius_span(cfg, 0.3, 4.0))
+    r = _loguniform(rng, 0.3, 4.0)
     probes = [(1.0 + b) * r for b in cfg.b_values]
     probes += [(1.0 + b) ** 2 * r for b in cfg.b_values]
     rmax = 1.1 * max(probes)
-    u = _draw_delta(rng, cfg, rmax)
+    u = _draw_delta(rng, rmax)
     if not _clear_of([u.plus.charge, u.minus.charge], probes + [r]):
         return None
     return {
@@ -408,7 +384,7 @@ def _gen_main_lemma(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict
 
 
 def _theorem_radii(rng: np.random.Generator, cfg: SuiteConfig) -> tuple[float, float, list[float]]:
-    r = _loguniform(rng, *_radius_span(cfg, 0.3, 4.0))
+    r = _loguniform(rng, 0.3, 4.0)
     r0 = r * float(rng.uniform(0.05, 0.5))
     # Clearance covers the geometric-mean circles too, so tightening a
     # checker to probe them later cannot invalidate stored instances.
@@ -418,7 +394,7 @@ def _theorem_radii(rng: np.random.Generator, cfg: SuiteConfig) -> tuple[float, f
 
 def _gen_main_theorem_T(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
     r, r0, probes = _theorem_radii(rng, cfg)
-    u = _draw_delta(rng, cfg, 1.1 * max(probes))
+    u = _draw_delta(rng, 1.1 * max(probes))
     if not _clear_of([u.plus.charge, u.minus.charge], probes):
         return None
     return {
@@ -432,8 +408,7 @@ def _gen_main_theorem_T(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[
 
 def _gen_main_theorem_M(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
     r, r0, probes = _theorem_radii(rng, cfg)
-    count = (max(cfg.atom_count_range[0], 1), max(cfg.atom_count_range[1], 1))
-    charge = _draw_measure(rng, count, 1.1 * max(probes), origin_prob=0.1)
+    charge = _draw_measure(rng, _ATOMS, 1.1 * max(probes), origin_prob=0.1)
     if not _clear_of([charge], probes):
         return None
     v = SubharmonicPotential(charge, float(rng.uniform(-0.5, 1.5)))
@@ -447,10 +422,9 @@ def _gen_main_theorem_M(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[
 
 
 def _gen_nevanlinna_ratio(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
-    r_lo, r_hi = cfg.radius_range
     # r >= 1 and one pole well inside keep T(kr) positive, so the
     # reported ratios aggregate to a finite empirical constant.
-    r = _loguniform(rng, max(1.0, r_lo), max(2.0, r_hi))
+    r = _loguniform(rng, 1.0, 5.0)
     rmax = 1.2 * max(cfg.k_values) * r
     zeros = _draw_measure(rng, (0, 3), rmax, integer_masses=True)
     poles = _draw_measure(rng, (0, 3), rmax, origin_prob=0.1, integer_masses=True)
@@ -475,12 +449,11 @@ def _bounded_b_values(cfg: SuiteConfig) -> tuple[float, ...]:
 
 def _gen_small_intervals(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
     bs = _bounded_b_values(cfg)
-    R = _loguniform(rng, *_radius_span(cfg, 0.5))
+    R = _loguniform(rng, 0.5, 5.0)
     r = R * float(rng.uniform(0.3, 0.85))
     r0 = r * float(rng.uniform(0.1, 0.8))
     probes = [r0, r, R] + [(1.0 + b) * R for b in bs]
-    count = (max(cfg.atom_count_range[0], 1), max(cfg.atom_count_range[1], 1))
-    charge = _draw_measure(rng, count, 1.05 * max(probes))
+    charge = _draw_measure(rng, _ATOMS, 1.05 * max(probes))
     if not _clear_of([charge], probes):
         return None
     # Pin the circle mean at the innermost outer radius to a positive
@@ -500,9 +473,9 @@ def _gen_small_intervals(rng: np.random.Generator, cfg: SuiteConfig) -> Optional
 
 
 def _gen_pjp_identity(rng: np.random.Generator, cfg: SuiteConfig) -> Optional[dict]:
-    R = _loguniform(rng, *_radius_span(cfg, 0.3))
+    R = _loguniform(rng, 0.3, 5.0)
     r = R * float(rng.uniform(0.05, 0.8))
-    charge = _draw_measure(rng, cfg.atom_count_range, 1.2 * R, origin_prob=0.1)
+    charge = _draw_measure(rng, _ATOMS, 1.2 * R, origin_prob=0.1)
     if not _clear_of([charge], [r, R]):
         return None
     v = SubharmonicPotential(charge, float(rng.uniform(-1.0, 1.0)))

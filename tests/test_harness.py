@@ -176,17 +176,42 @@ def test_canonical_json_handles_nonfinite():
 def test_config_from_doc():
     doc = {
         "seed": 99, "instances": 5, "checkers": ["lemma3"], "k_values": [1.5, 3],
-        "p_values": [2, "inf"], "b_values": [0.25], "atom_count_range": [2, 4],
-        "radius_range": [0.2, 3], "quad_rel_tol": 1e-7, "jobs": 2,
+        "p_values": [2, "inf"], "b_values": [0.25], "quad_rel_tol": 1e-7, "jobs": 2,
     }
     cfg = SuiteConfig.from_doc(doc)
     assert cfg == SuiteConfig(
         seed=99, instances=5, checkers=("lemma3",), k_values=(1.5, 3.0), p_values=(2.0, math.inf),
-        b_values=(0.25,), atom_count_range=(2, 4), radius_range=(0.2, 3.0), quad_rel_tol=1e-7, jobs=2,
+        b_values=(0.25,), quad_rel_tol=1e-7, jobs=2,
     )
     assert cfg.quad_override().rel_tol == 1e-7
     assert SuiteConfig.from_doc({}) == SuiteConfig()
     assert SuiteConfig().quad_override() is None
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # A misspelt key must not fall back to the default it meant to replace.
+    for doc in ({"seeds": 5}, {"seed": 5, "radius_range": [0.1, 0.3]}):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            SuiteConfig.from_doc(doc)
+        cfg_fn = tmp_path / "suite.json"
+        cfg_fn.write_text(json.dumps({**doc, "instances": 0}))
+        assert cli_main(["suite", "--config", str(cfg_fn)]) == 3
+        assert "unknown config keys" in capsys.readouterr().err
+    # Null keeps the default only where the default is None.
+    assert SuiteConfig.from_doc({"quad_rel_tol": None}) == SuiteConfig()
+    with pytest.raises(TypeError):
+        SuiteConfig.from_doc({"seed": None})
+
+
+def test_cli_suite_flags_override_the_config_file(tmp_path, capsys):
+    cfg_fn = tmp_path / "suite.json"
+    cfg_fn.write_text(json.dumps({"seed": 7, "instances": 1, "checkers": ["lemma3"], "p_values": [2]}))
+    out_csv = tmp_path / "report.csv"
+    argv = ["suite", "--config", str(cfg_fn), "--checkers", "lemma2,main_lemma", "--p-values", "3,inf", "--out"]
+    assert cli_main([*argv, str(out_csv)]) == 0
+    capsys.readouterr()
+    cfg = SuiteConfig(seed=7, instances=1, checkers=("lemma2", "main_lemma"), p_values=(3.0, math.inf))
+    assert out_csv.read_text() == run_suite(cfg).csv_text
 
 
 def test_config_validation():
@@ -196,8 +221,6 @@ def test_config_validation():
         SuiteConfig(instances=-1)
     with pytest.raises(ValueError):
         SuiteConfig(k_values=(0.5,))
-    with pytest.raises(ValueError):
-        SuiteConfig(radius_range=(2.0, 1.0))
     with pytest.raises(ValueError):
         SuiteConfig(jobs=0)
     with pytest.raises(ValueError):
