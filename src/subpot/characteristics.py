@@ -27,7 +27,7 @@ modulus and angle is the kernel's own.
 
 Three pure functions repeat inside one checker unit, so each has a memo
 keyed on every argument and bounded by one unit's need: ``_sampler(v)``
-(2 entries: at most two functions), ``max_on_circle(v, r, transform)``
+(1 entry: a unit samples one function), ``max_on_circle(v, r, transform)``
 (3: one per ``k`` or ``b``) and ``_quad_mean(v, r, transform, quad)``
 (4: ``r0`` and three ``k r``).
 """
@@ -303,7 +303,7 @@ class CircleSampler:
             return self._log_sum(d), dp, d2p
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _sampler(v: FunctionLike) -> CircleSampler:
     return CircleSampler(as_delta(v))
 

@@ -527,10 +527,11 @@ def main_theorem_M(
     if m == 0.0:
         return _report("main_theorem_M", 0.0, 0.0, params, 0.0, degenerate=True)
 
-    raw_lhs, raw_err = _maxima_integral(canonicalize(as_delta(u)), "abs", e, g.pieces, quad or LHS_QUAD)
+    canon = canonicalize(as_delta(u))
+    raw_lhs, raw_err = _maxima_integral(canon, "abs", e, g.pieces, quad or LHS_QUAD)
     lhs = raw_lhs / r
-    m_plus = max_on_circle(u, k * r, transform="plus")
-    c_minus = circle_mean_nonlinear(u, "minus", r0, quad or MEAN_QUAD)
+    m_plus = max_on_circle(canon, k * r, transform="plus")
+    c_minus = circle_mean_nonlinear(canon, "minus", r0, quad or MEAN_QUAD)
     g_norm = lp_norm(g, e, quad)
     factor = 5.0 * q * k / (k - 1.0) * g_norm * (m ** (1.0 / q) / r) * math.log(4.0 * k * r / m)
     rhs = factor * (m_plus.value + c_minus.value)
@@ -618,14 +619,13 @@ def small_intervals_ratio(
     m = e.measure
     params = {"r0": r0, "r": r, "R": R, "b": b, "mes_E": m}
 
-    lhs, lhs_err = (
-        _maxima_integral(canonicalize(as_delta(u)), "abs", e, g.pieces, quad or LHS_QUAD) if m > 0 else (0.0, 0.0)
-    )
-    m_at = max_on_circle(u, (1.0 + b) * R)
+    canon = canonicalize(as_delta(u))
+    lhs, lhs_err = _maxima_integral(canon, "abs", e, g.pieces, quad or LHS_QUAD) if m > 0 else (0.0, 0.0)
+    m_at = max_on_circle(canon, (1.0 + b) * R)
     if r0 > 0:
-        c_minus = circle_mean_nonlinear(u, "minus", r0, quad or MEAN_QUAD)
+        c_minus = circle_mean_nonlinear(canon, "minus", r0, quad or MEAN_QUAD)
     else:
-        c_minus = max_on_circle(u, 0.0, "minus")
+        c_minus = max_on_circle(canon, 0.0, "minus")
     g_sup = lp_norm(g, e, quad)
     mn = min(m, 3.0 * b * R)
     m_inf = m + (mn * math.log(3.0 * math.e * b * R / mn) if mn > 0 else 0.0)

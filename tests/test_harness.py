@@ -303,6 +303,7 @@ def test_cli_bad_inputs_exit_three(tmp_path, capsys):
 
 # --- caches shared across the documents of one file ---------------------------
 
+
 def _pair_docs(name, key):
     """Instance 0 and instance 1's function carried on instance 0's set, radii and weight."""
     cfg = SuiteConfig(seed=1)
@@ -664,6 +665,15 @@ def test_lemma1_suite_csv_is_the_same_at_one_and_two_jobs(tmp_path):
 
 
 MAXIMA_CHECKERS = ("lemma1", "nevanlinna_ratio", "main_theorem_T", "main_theorem_M", "main_lemma", "small_intervals_ratio")
+
+
+@pytest.mark.parametrize("name", MAXIMA_CHECKERS + ("pjp_identity",))
+def test_a_unit_builds_one_circle_sampler(name):
+    # Every characteristic of a unit samples the same function in the same
+    # form, so _sampler's one entry serves the whole unit.
+    characteristics._sampler.cache_clear()
+    run_unit(name, 0, SuiteConfig())
+    assert characteristics._sampler.cache_info().misses == 1
 
 
 def test_maxima_units_leave_numpy_ma_unloaded():
