@@ -378,7 +378,8 @@ def integrate(
             heapq.heappush(heap, (-e2, counter + 1, cut, hi, e, v2, e2))
             counter += 2
 
-    return total, total_err
+    # The running sum can cancel below zero; the panels' own errors cannot.
+    return total, math.fsum(entry[-1] for entry in heap)
 
 
 def integrate_periodic(
