@@ -576,7 +576,7 @@ def _piecewise_quad(u, edges, spikes=()):
 
     total = total_err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = scipy_quad(rest, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=400)
+        val, err = scipy_quad(rest, lo, hi, epsabs=1e-15, epsrel=1e-14, limit=400)
         total += val
         total_err += err
     a, b = edges[0], edges[-1]
