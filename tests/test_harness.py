@@ -303,7 +303,6 @@ def test_cli_bad_inputs_exit_three(tmp_path, capsys):
 
 # --- caches shared across the documents of one file ---------------------------
 
-
 def _pair_docs(name, key):
     """Instance 0 and instance 1's function carried on instance 0's set, radii and weight."""
     cfg = SuiteConfig(seed=1)
